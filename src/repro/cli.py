@@ -57,6 +57,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.common.units import GB
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
@@ -736,7 +737,6 @@ def _parse_grid_value(raw: str):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError
     from repro.experiments.sweeps import rows_to_csv, sweep
 
     if not args.grid_specs:
@@ -753,11 +753,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
         grid[field] = [_parse_grid_value(v) for v in values]
     base = _config(args, args.manager)
-    try:
-        rows = sweep(base, grid, repeats=args.repeats, jobs=args.jobs)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = sweep(base, grid, repeats=args.repeats, jobs=args.jobs)
     columns = list(rows[0].keys())
     print(format_table(
         columns,
@@ -1078,7 +1074,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": _cmd_trace,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigurationError as exc:
+        # Invalid input is rejected at this one boundary: a single line on
+        # stderr and the usage-error exit code, never a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

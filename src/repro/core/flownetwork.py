@@ -21,15 +21,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from repro.common.errors import ConfigurationError
 from repro.core.demand import AppDemand
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
+# networkx and scipy are imported inside the functions that use them: no
+# simulation path calls these solvers, and the imports dominate start-up.
 
 __all__ = [
     "ConcurrentFlowInstance",
@@ -74,6 +77,8 @@ def build_flow_network(instance: ConcurrentFlowInstance) -> nx.DiGraph:
     task) — the per-application demand lives in the node attribute
     ``demand`` on its source.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_node("sink")
     for executor in instance.executors:
@@ -179,6 +184,9 @@ def lp_concurrent_flow_bound(instance: ConcurrentFlowInstance) -> float:
         rhs.append(0.0)
         row += 1
 
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     a_ub = coo_matrix((vals, (rows, cols)), shape=(row, n_vars))
     c = np.zeros(n_vars)
     c[lam] = -1.0
@@ -221,6 +229,8 @@ def brute_force_optimum(
     }
     quotas = {app.app_id: app.quota for app in apps}
     taus = {app.app_id: app.total_unsatisfied for app in apps}
+
+    import networkx as nx
 
     best = -1.0
     best_ownership: Dict[str, str] = {}

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-import networkx as nx
-
 from repro.common.errors import ConfigurationError
 
 __all__ = ["greedy_weighted_matching", "matching_weight", "max_weight_matching_with_budget"]
@@ -87,6 +85,10 @@ def max_weight_matching_with_budget(
     tasks = sorted({e[0] for e in edges})
     executors = sorted({e[1] for e in edges})
     cap = len(tasks) if budget is None else min(budget, len(tasks))
+
+    # Imported here: no simulation path needs the exact solver, and
+    # networkx dominates start-up.
+    import networkx as nx
 
     graph = nx.DiGraph()
     source, sink = "__source__", "__sink__"

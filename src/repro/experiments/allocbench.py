@@ -208,9 +208,7 @@ class _ScriptedDriver:
             executor.finish_task(task.task_id)
             task.finished_at = self.sim.now
             assert task.block is not None
-            task.was_local = executor.node_id in namenode.serving_locations(
-                task.block.block_id
-            )
+            task.was_local = namenode.serves(task.block.block_id, executor.node_id)
             job = next(j for j in self.app.jobs if j.job_id == task.job_id)
             self.app.note_input_decided(job, task.was_local)
             self.demand_epoch += 1

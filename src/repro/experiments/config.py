@@ -128,6 +128,10 @@ class ExperimentConfig:
             raise ConfigurationError("num_apps and jobs_per_app must be >= 1")
         if self.replication < 1:
             raise ConfigurationError(f"replication must be >= 1, got {self.replication}")
+        if self.delay_wait < 0:
+            raise ConfigurationError(f"delay_wait must be >= 0, got {self.delay_wait}")
+        if self.rack_wait is not None and self.rack_wait < 0:
+            raise ConfigurationError(f"rack_wait must be >= 0, got {self.rack_wait}")
         if self.cache_per_node < 0:
             raise ConfigurationError(
                 f"cache_per_node must be >= 0, got {self.cache_per_node}"

@@ -190,6 +190,20 @@ class NameNode:
             raise ConfigurationError(f"unknown block {block_id!r}")
         return sorted(nodes | self._cached.get(block_id, set()))
 
+    def serves(self, block_id: str, node_id: str) -> bool:
+        """``node_id in serving_locations(block_id)`` without building the list.
+
+        The O(1) locality test of the task schedulers; raises on an unknown
+        block exactly like :meth:`serving_locations`.
+        """
+        nodes = self._replicas.get(block_id)
+        if nodes is None:
+            raise ConfigurationError(f"unknown block {block_id!r}")
+        if node_id in nodes:
+            return True
+        cached = self._cached.get(block_id)
+        return cached is not None and node_id in cached
+
     def locate_file(self, path: str) -> List[Tuple[Block, List[str]]]:
         """The Custody query: every block of ``path`` with its replica nodes."""
         entry = self.file(path)

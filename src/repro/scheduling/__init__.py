@@ -10,6 +10,8 @@ is to raise the *upper bound* locality the task scheduler can reach.
   slot before accepting a non-local one.
 * :class:`LocalityFirstScheduler` / :class:`FifoScheduler` — the two
   degenerate policies (infinite wait / zero wait) used in ablations.
+* :class:`RunnableQueue` — a driver's runnable tasks, indexed by node, rack
+  and locality-wait expiry so every policy's pick is a few heap tops.
 * :class:`ApplicationDriver` — the Spark-driver analogue: receives jobs,
   walks their stage DAGs, launches tasks into owned executors via the task
   scheduler, and reports executor idleness to the cluster manager.
@@ -23,6 +25,7 @@ from repro.scheduling.policies import (
     TaskScheduler,
 )
 from repro.scheduling.driver import ApplicationDriver
+from repro.scheduling.queue import RunnableQueue
 
 __all__ = [
     "ApplicationDriver",
@@ -30,5 +33,6 @@ __all__ = [
     "FifoScheduler",
     "HintedDelayScheduler",
     "LocalityFirstScheduler",
+    "RunnableQueue",
     "TaskScheduler",
 ]

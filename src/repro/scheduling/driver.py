@@ -43,6 +43,7 @@ from repro.obs.events import BreakerTransition, HedgeLaunch, JobSpan, TaskAttemp
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.scheduling.policies import TaskScheduler
+from repro.scheduling.queue import RunnableQueue
 from repro.scheduling.robustness import CLOSED, CircuitBreakerBoard, RetryBudget
 from repro.simulation.engine import EventHandle, Simulation
 from repro.simulation.process import AllOf, Interrupt, Process, Timeout
@@ -210,7 +211,7 @@ class ApplicationDriver:
         #: notification is delivered by retry or by the recovery flush
         self._pending_submissions: List[Job] = []
         self._executors: Dict[str, Executor] = {}
-        self._runnable: List[Task] = []
+        self._runnable = RunnableQueue()
         self._attempts: Dict[str, List[_Attempt]] = {}
         self._stage_remaining: Dict[Tuple[str, int], int] = {}
         self._stage_durations: Dict[Tuple[str, int], List[float]] = {}
@@ -421,7 +422,7 @@ class ApplicationDriver:
         self._stage_nodes[key] = []
         for task in stage.tasks:
             task.submitted_at = now
-            self._runnable.append(task)
+            self._runnable.push(task)
         self._m_queue_depth.set(len(self._runnable))
 
     # -------------------------------------------------------- executor churn
@@ -678,7 +679,7 @@ class ApplicationDriver:
             return  # cancelled (KMN surplus) or finished meanwhile
         if task in self._runnable or task.task_id in self._attempts:
             return
-        self._runnable.append(task)
+        self._runnable.push(task)
         self.demand_epoch += 1
         self.requeued_tasks += 1
         self._m_retries.inc()
@@ -887,12 +888,17 @@ class ApplicationDriver:
         candidates = [e for e in free if e.executor_id not in running_on]
         if not candidates:
             return None
+        return self._prefer_local(task, candidates)
+
+    def _prefer_local(self, task: Task, executors: List[Executor]) -> Executor:
+        """The first of ``executors`` whose node serves ``task``'s input
+        block, else the first of them."""
         if task.is_input and task.block is not None:
-            serving = set(self.hdfs.namenode.serving_locations(task.block.block_id))
-            local = [e for e in candidates if e.node_id in serving]
-            if local:
-                return local[0]
-        return candidates[0]
+            namenode, block_id = self.hdfs.namenode, task.block.block_id
+            for e in executors:
+                if namenode.serves(block_id, e.node_id):
+                    return e
+        return executors[0]
 
     # --------------------------------------------------------------- hedging
     def _node_suspected(self, node_id: str) -> bool:
@@ -997,13 +1003,7 @@ class ApplicationDriver:
         if not candidates:
             return None
         trusted = [e for e in candidates if not self._node_suspected(e.node_id)]
-        pool = trusted or candidates
-        if task.is_input and task.block is not None:
-            serving = set(self.hdfs.namenode.serving_locations(task.block.block_id))
-            local = [e for e in pool if e.node_id in serving]
-            if local:
-                return local[0]
-        return pool[0]
+        return self._prefer_local(task, trusted or candidates)
 
     # ---------------------------------------------------------------- attempts
     def _trace_attempt(

@@ -8,15 +8,21 @@ bet that a local task will claim it soon.
 Policies also expose :meth:`next_wakeup`, the earliest future time at which
 a currently-ineligible task would become eligible (its locality wait
 expiring), so the driver can re-dispatch exactly then.
+
+Every policy answers from the driver's :class:`RunnableQueue`: each rule
+below is "the FIFO-first task with property P", and the queue keeps a heap
+per property, so a pick costs a few heap tops instead of a scan of the
+runnable tasks.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Dict, Optional, Set, Tuple
 
 from repro.cluster.topology import Topology
 from repro.hdfs.namenode import NameNode
+from repro.scheduling.queue import Accept, Entry, RunnableQueue
 from repro.workload.task import Task
 
 __all__ = [
@@ -34,7 +40,7 @@ class TaskScheduler(abc.ABC):
     @abc.abstractmethod
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
         namenode: NameNode,
@@ -46,15 +52,13 @@ class TaskScheduler(abc.ABC):
         only hint-aware policies use it; locality is node-level.
         """
 
-    def next_wakeup(
-        self, runnable: Sequence[Task], now: float
-    ) -> Optional[float]:
+    def next_wakeup(self, runnable: RunnableQueue, now: float) -> Optional[float]:
         """Earliest future time a scheduling decision could change, or None."""
         return None
 
     def accepts_offer(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
         namenode: NameNode,
@@ -63,10 +67,13 @@ class TaskScheduler(abc.ABC):
         return self.pick_task(runnable, node_id, now, namenode) is not None
 
 
-def _is_local(task: Task, node_id: str, namenode: NameNode) -> bool:
-    """Node-level locality test for an input task (disk or cached copy)."""
-    assert task.block is not None
-    return node_id in namenode.serving_locations(task.block.block_id)
+def _earliest(*entries: Optional[Entry]) -> Optional[Task]:
+    """The FIFO-first task among heap tops (None entries ignored)."""
+    best: Optional[Entry] = None
+    for entry in entries:
+        if entry is not None and (best is None or entry[0] < best[0]):
+            best = entry
+    return best[1] if best is not None else None
 
 
 class DelayScheduler(TaskScheduler):
@@ -79,6 +86,10 @@ class DelayScheduler(TaskScheduler):
     the two-level node→any scheme (any slot after ``wait``).  Shuffle tasks
     carry no locality preference and run anywhere immediately.  ``wait``
     defaults to 3 s — Spark's ``spark.locality.wait``.
+
+    A pick is: the first node-local input task; else, on the ladder, the
+    first rack-local task whose ``wait`` ran out; else the first of the
+    shuffle tasks and the input tasks whose (whole) wait ran out.
     """
 
     def __init__(
@@ -98,63 +109,43 @@ class DelayScheduler(TaskScheduler):
         self.rack_wait = rack_wait
         self.topology = topology
 
-    def _is_rack_local(self, task: Task, node_id: str, namenode: NameNode) -> bool:
-        assert task.block is not None and self.topology is not None
-        rack = self.topology.rack_of(node_id)
-        return any(
-            self.topology.rack_of(holder) == rack
-            for holder in namenode.serving_locations(task.block.block_id)
-        )
-
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
         namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
-        rack_fallback: Optional[Task] = None
-        any_fallback: Optional[Task] = None
-        laddered = self.rack_wait is not None and self.topology is not None
-        for task in runnable:
-            if not task.is_input:
-                if any_fallback is None:
-                    any_fallback = task
-                continue
-            if _is_local(task, node_id, namenode):
-                return task
-            if task.submitted_at is None:
-                continue
-            waited = now - task.submitted_at
-            if laddered:
-                if (
-                    rack_fallback is None
-                    and waited >= self.wait
-                    and self._is_rack_local(task, node_id, namenode)
-                ):
-                    rack_fallback = task
-                if any_fallback is None and waited >= self.wait + self.rack_wait:
-                    any_fallback = task
-            elif any_fallback is None and waited >= self.wait:
-                any_fallback = task
-        return rack_fallback if rack_fallback is not None else any_fallback
+        return self._pick(runnable, node_id, now, namenode, None)
 
-    def next_wakeup(self, runnable: Sequence[Task], now: float) -> Optional[float]:
-        laddered = self.rack_wait is not None and self.topology is not None
-        earliest: Optional[float] = None
-        for task in runnable:
-            if task.is_input and task.submitted_at is not None:
-                for expiry in (
-                    task.submitted_at + self.wait,
-                    task.submitted_at + self.wait + (self.rack_wait or 0.0)
-                    if laddered
-                    else None,
-                ):
-                    if expiry is not None and expiry > now:
-                        if earliest is None or expiry < earliest:
-                            earliest = expiry
-        return earliest
+    def _pick(
+        self,
+        runnable: RunnableQueue,
+        node_id: str,
+        now: float,
+        namenode: NameNode,
+        accept: Accept,
+    ) -> Optional[Task]:
+        local = runnable.first_local(node_id, namenode, accept)
+        if local is not None:
+            return local[1]
+        if self.rack_wait is not None and self.topology is not None:
+            rack_local = runnable.first_expired_in_rack(
+                self.wait, now, node_id, self.topology, namenode, accept
+            )
+            if rack_local is not None:
+                return rack_local[1]
+            expired = runnable.first_expired(self.wait + self.rack_wait, now, accept)
+        else:
+            expired = runnable.first_expired(self.wait, now, accept)
+        return _earliest(expired, runnable.first_shuffle(accept))
+
+    def next_wakeup(self, runnable: RunnableQueue, now: float) -> Optional[float]:
+        offsets: Tuple[float, ...] = (self.wait,)
+        if self.rack_wait is not None and self.topology is not None:
+            offsets = (self.wait, self.rack_wait)
+        return runnable.next_expiry(offsets, now)
 
 
 class LocalityFirstScheduler(TaskScheduler):
@@ -168,16 +159,15 @@ class LocalityFirstScheduler(TaskScheduler):
 
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
         namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
-        for task in runnable:
-            if not task.is_input or _is_local(task, node_id, namenode):
-                return task
-        return None
+        return _earliest(
+            runnable.first_local(node_id, namenode), runnable.first_shuffle()
+        )
 
 
 class HintedDelayScheduler(DelayScheduler):
@@ -200,10 +190,17 @@ class HintedDelayScheduler(DelayScheduler):
     ):
         super().__init__(wait, rack_wait=rack_wait, topology=topology)
         self.hints: dict = {}
+        #: executor id → ids of the tasks hinted to it
+        self._hinted_to: Dict[str, Set[str]] = {}
 
     def set_hints(self, mapping: dict) -> None:
         """Merge task-id → executor-id hints from the latest allocation."""
-        self.hints.update(mapping)
+        for task_id, executor_id in mapping.items():
+            previous = self.hints.get(task_id)
+            if previous is not None and previous != executor_id:
+                self._hinted_to[previous].discard(task_id)
+            self.hints[task_id] = executor_id
+            self._hinted_to.setdefault(executor_id, set()).add(task_id)
 
     def _reserved_elsewhere(self, task: Task, executor_id: Optional[str], now: float) -> bool:
         hint = self.hints.get(task.task_id)
@@ -216,20 +213,24 @@ class HintedDelayScheduler(DelayScheduler):
 
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
         namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
         if executor_id is not None:
-            for task in runnable:
-                if self.hints.get(task.task_id) == executor_id:
-                    return task
-        eligible = [
-            t for t in runnable if not self._reserved_elsewhere(t, executor_id, now)
-        ]
-        return super().pick_task(eligible, node_id, now, namenode, executor_id)
+            queued = [runnable.get(t) for t in self._hinted_to.get(executor_id, ())]
+            hinted = _earliest(*((runnable.seq_of(t), t) for t in queued if t is not None))
+            if hinted is not None:
+                return hinted
+        return self._pick(
+            runnable,
+            node_id,
+            now,
+            namenode,
+            lambda task: not self._reserved_elsewhere(task, executor_id, now),
+        )
 
 
 class FifoScheduler(TaskScheduler):
@@ -237,10 +238,10 @@ class FifoScheduler(TaskScheduler):
 
     def pick_task(
         self,
-        runnable: Sequence[Task],
+        runnable: RunnableQueue,
         node_id: str,
         now: float,
         namenode: NameNode,
         executor_id: Optional[str] = None,
     ) -> Optional[Task]:
-        return runnable[0] if runnable else None
+        return _earliest(runnable.first())

@@ -64,3 +64,21 @@ class TestCommands:
     def test_figures_9(self, capsys):
         assert main(["figures", "--figure", "9", "--jobs-per-app", "2", "--apps", "2"]) == 0
         assert "Fig. 9" in capsys.readouterr().out
+
+
+class TestInvalidInput:
+    """Bad values are one ``error:`` line on stderr and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--delay-wait", "-1"],
+            ["run", "--apps", "0"],
+        ],
+    )
+    def test_one_line_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -30,6 +30,8 @@ def test_paper_defaults():
         {"num_apps": 0},
         {"jobs_per_app": 0},
         {"replication": 0},
+        {"delay_wait": -1.0},
+        {"rack_wait": -0.5},
     ],
 )
 def test_invalid_configs(kwargs):

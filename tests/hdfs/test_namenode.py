@@ -135,6 +135,22 @@ class TestReplicas:
         assert nn.locations(b0) == ["w-0"]
         assert nn.locations(b1) == []
 
+    def test_serves_matches_serving_locations(self, nn):
+        e = entry("/data/f", 1)
+        nn.register_file(e)
+        bid = e.blocks[0].block_id
+        nn.add_replica(bid, "w-0")
+        nn.add_cached_replica(bid, "w-1")
+        for node in ("w-0", "w-1", "w-2"):
+            assert nn.serves(bid, node) == (node in nn.serving_locations(bid))
+        nn.remove_cached_replica(bid, "w-1")
+        nn.remove_replica(bid, "w-0")
+        assert not nn.serves(bid, "w-0") and not nn.serves(bid, "w-1")
+
+    def test_serves_unknown_block_rejected(self, nn):
+        with pytest.raises(ConfigurationError):
+            nn.serves("ghost", "w-0")
+
     def test_stats(self, nn):
         e = entry("/data/f", 2)
         nn.register_file(e)

@@ -52,12 +52,13 @@ class TestCommand:
                      "--out", ""]) == 0
         assert not (tmp_path / "VALIDATION.json").exists()
 
-    def test_unknown_scenario_errors(self, tmp_path):
-        from repro.common.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown scenario"):
-            main(["validate", "--scenario", "nope", "--out",
-                  str(tmp_path / "r.json")])
+    def test_unknown_scenario_errors(self, capsys, tmp_path):
+        code = main(["validate", "--scenario", "nope", "--out",
+                     str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scenario")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.scenarios
     def test_smoke_gate_runs_all_engine_variants(self, capsys, tmp_path):

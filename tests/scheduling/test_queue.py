@@ -1,0 +1,114 @@
+"""RunnableQueue: FIFO container semantics, lazy deletion, exact expiries."""
+
+import pytest
+
+from repro.cluster.topology import Topology
+from repro.hdfs.blocks import Block
+from repro.hdfs.namenode import FileEntry, NameNode
+from repro.scheduling.policies import DelayScheduler, HintedDelayScheduler
+from repro.scheduling.queue import RunnableQueue
+from repro.workload.task import Task, TaskKind
+
+
+@pytest.fixture
+def namenode():
+    nn = NameNode()
+    blocks = [Block(f"b-{i}", path="/f", index=i, size=1.0) for i in range(2)]
+    nn.register_file(FileEntry(path="/f", size=2.0, blocks=blocks))
+    nn.add_replica("b-0", "n0")
+    nn.add_replica("b-1", "n0")
+    return nn
+
+
+def input_task(tid, block_index=0, submitted_at=0.0):
+    t = Task(
+        tid, job_id="j", app_id="a", stage_index=0, kind=TaskKind.INPUT,
+        cpu_time=1.0,
+        block=Block(f"b-{block_index}", path="/f", index=block_index, size=1.0),
+    )
+    t.submitted_at = submitted_at
+    return t
+
+
+class TestContainer:
+    def test_fifo_iteration_and_requeue_to_back(self):
+        a, b, c = input_task("a"), input_task("b"), input_task("c")
+        queue = RunnableQueue([a, b, c])
+        queue.remove(a)
+        queue.push(a)
+        assert list(queue) == [b, c, a]
+        assert queue.seq_of(a) > queue.seq_of(c)
+
+    def test_membership_and_lookup(self):
+        a, b = input_task("a"), input_task("b")
+        queue = RunnableQueue([a])
+        assert a in queue and b not in queue
+        assert len(queue) == 1 and queue
+        assert queue.get("a") is a and queue.get("b") is None
+        queue.remove(a)
+        assert not queue and queue.get("a") is None and queue.seq_of(a) is None
+
+    def test_double_push_and_missing_remove_rejected(self):
+        a = input_task("a")
+        queue = RunnableQueue([a])
+        with pytest.raises(ValueError):
+            queue.push(a)
+        queue.remove(a)
+        with pytest.raises(ValueError):
+            queue.remove(a)
+
+    def test_dead_entries_are_compacted(self, namenode):
+        queue = RunnableQueue()
+        sched = DelayScheduler(3.0)
+        keep = input_task("keep")
+        queue.push(keep)
+        for i in range(5000):
+            task = input_task(f"t{i}", i % 2, submitted_at=float(i))
+            queue.push(task)
+            sched.pick_task(queue, "n1", float(i), namenode)
+            sched.next_wakeup(queue, float(i))
+            queue.remove(task)
+        assert list(queue) == [keep]
+        assert len(queue._head) < 600
+        assert sum(len(h) for h in queue._by_node.values()) < 600
+        assert sched.pick_task(queue, "n0", 5000.0, namenode) is keep
+
+
+class TestExactness:
+    def test_reserved_task_keeps_its_place(self, namenode):
+        sched = HintedDelayScheduler(wait=3.0)
+        reserved, other = input_task("t0", 0), input_task("t1", 1)
+        queue = RunnableQueue([reserved, other])
+        sched.set_hints({"t0": "e9"})
+        # e1 must skip t0 while it is reserved for e9 ...
+        assert sched.pick_task(queue, "n0", 0.0, namenode, executor_id="e1") is other
+        # ... and find it again, FIFO-first, once the reservation lapses.
+        assert sched.pick_task(queue, "n0", 3.5, namenode, executor_id="e1") is reserved
+
+    def test_rehinted_task_leaves_the_old_executor(self, namenode):
+        sched = HintedDelayScheduler(wait=3.0)
+        t0 = input_task("t0", 0)
+        queue = RunnableQueue([t0])
+        sched.set_hints({"t0": "e1"})
+        sched.set_hints({"t0": "e2"})
+        assert sched.pick_task(queue, "n0", 0.0, namenode, executor_id="e1") is None
+        assert sched.pick_task(queue, "n0", 0.0, namenode, executor_id="e2") is t0
+
+    def test_ladder_wakeup_keeps_left_to_right_sum(self, namenode):
+        topo = Topology()
+        topo.add_node("n0", "r0")
+        sched = DelayScheduler(wait=0.2, rack_wait=2.0, topology=topo)
+        queue = RunnableQueue([input_task("t0", 0, submitted_at=0.1)])
+        expected = 0.1 + 0.2 + 2.0
+        assert expected != 0.1 + (0.2 + 2.0)
+        assert sched.next_wakeup(queue, now=1.0) == expected
+
+    def test_index_follows_namenode_changes(self, namenode):
+        sched = DelayScheduler(wait=3.0)
+        t0 = input_task("t0", 0)
+        queue = RunnableQueue([t0])
+        assert sched.pick_task(queue, "n1", 0.0, namenode) is None
+        namenode.add_cached_replica("b-0", "n1")
+        assert sched.pick_task(queue, "n1", 0.0, namenode) is t0
+        namenode.remove_cached_replica("b-0", "n1")
+        assert sched.pick_task(queue, "n1", 0.0, namenode) is None
