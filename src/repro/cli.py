@@ -105,9 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--speculation", action="store_true",
                        help="enable speculative execution")
         p.add_argument("--network-engine", default="incremental",
-                       choices=["incremental", "reference", "vectorized"],
-                       help="flow-rate allocator (reference = full recompute, "
-                            "vectorized = numpy-bookkeeping kernel)")
+                       choices=["incremental", "reference"],
+                       help="flow-rate allocator (reference = full recompute)")
         p.add_argument("--alloc-engine", default="incremental",
                        choices=["incremental", "reference", "vectorized"],
                        help="allocation control plane (reference = per-round "
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: all registered scenarios")
     val_p.add_argument("--seed", type=int, default=0)
     val_p.add_argument("--network-engine", default="incremental",
-                       choices=["incremental", "reference", "vectorized"],
+                       choices=["incremental", "reference"],
                        help="engine for single-variant runs (ignored by the "
                             "smoke gate, which always runs both variants)")
     val_p.add_argument("--alloc-engine", default="incremental",
@@ -788,14 +787,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         network_engine=args.network_engine,
         alloc_engine=args.alloc_engine,
     )
-    # The smoke gate pins every self-consistent engine stack (seed,
-    # incremental, vectorized); a manual single-variant run validates
-    # exactly the engines it was given.
+    # The smoke gate pins every engine stack (reference, incremental, and
+    # the incremental network under the vectorized allocator); a manual
+    # single-variant run validates exactly the engines it was given.
     variants = (
         [
             ("incremental", "incremental"),
             ("reference", "reference"),
-            ("vectorized", "vectorized"),
+            ("incremental", "vectorized"),
         ]
         if args.smoke
         else [(args.network_engine, args.alloc_engine)]

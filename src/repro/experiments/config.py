@@ -14,7 +14,7 @@ _MANAGERS = ("custody", "standalone", "yarn", "mesos")
 _SCHEDULERS = ("delay", "fifo", "locality-first")
 _PLACEMENTS = ("random", "rack-aware", "popularity")
 _WORKLOADS = ("pagerank", "wordcount", "sort")
-_NETWORK_ENGINES = ("incremental", "reference", "vectorized")
+_NETWORK_ENGINES = ("incremental", "reference")
 _ALLOC_ENGINES = ("incremental", "reference", "vectorized")
 
 
@@ -128,6 +128,12 @@ class ExperimentConfig:
             raise ConfigurationError("num_apps and jobs_per_app must be >= 1")
         if self.replication < 1:
             raise ConfigurationError(f"replication must be >= 1, got {self.replication}")
+        if self.replication > self.num_nodes:
+            # Placement would clamp silently and the report would lie.
+            raise ConfigurationError(
+                f"replication ({self.replication}) cannot exceed "
+                f"num_nodes ({self.num_nodes})"
+            )
         if self.delay_wait < 0:
             raise ConfigurationError(f"delay_wait must be >= 0, got {self.delay_wait}")
         if self.rack_wait is not None and self.rack_wait < 0:

@@ -51,6 +51,7 @@ class PlacementPolicy(abc.ABC):
 
     @staticmethod
     def _check(count: int, node_ids: Sequence[str]) -> int:
+        # Popularity placement can ask for more replicas than there are nodes.
         if not node_ids:
             raise ConfigurationError("no nodes available for placement")
         return min(count, len(node_ids))

@@ -10,13 +10,18 @@ virtual network and modern full-bisection datacenter fabrics).
 Algorithm (progressive filling): repeatedly find the most-congested link
 (the one whose remaining capacity divided by its unfrozen flow count is
 smallest), freeze all its unfrozen flows at that fair share, subtract what
-they consume everywhere, and repeat.  Runs in O(L^2) for L links, with the
-inner accounting vectorised over flows — fast enough for the few thousand
-concurrent flows these experiments produce.
+they consume everywhere, and repeat.  :func:`maxmin_rates` does this with
+numpy rescans of every link's share; it is the test oracle and the
+``reference`` network engine.  :func:`maxmin_rates_heap`, the kernel of the
+incremental :class:`~repro.network.rate_engine.RateEngine`, keeps the shares
+in a heap — O(F + L log L) for F flows and L links — and returns the same
+rates bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,7 +29,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 
-__all__ = ["LinkCapacities", "maxmin_rates", "maxmin_rates_vectorized"]
+__all__ = ["LinkCapacities", "maxmin_rates", "maxmin_rates_heap"]
 
 
 @dataclass
@@ -36,7 +41,7 @@ class LinkCapacities:
 
     def add_node(self, node_id: str, uplink: float, downlink: float) -> None:
         """Register a node's NIC capacities."""
-        if uplink <= 0 or downlink <= 0:
+        if not (uplink > 0 and downlink > 0):  # also rejects NaN
             raise ConfigurationError(
                 f"node {node_id!r}: NIC capacities must be positive "
                 f"(got up={uplink}, down={downlink})"
@@ -135,85 +140,92 @@ def maxmin_rates(
     return rates.tolist()
 
 
-def maxmin_rates_vectorized(
+def maxmin_rates_heap(
     flows: Sequence[Tuple[str, str]],
     capacities: LinkCapacities,
 ) -> List[float]:
-    """Bitwise-identical :func:`maxmin_rates` with incremental bookkeeping.
+    """:func:`maxmin_rates` with a heap of link shares instead of rescans.
 
-    Progressive filling freezes one bottleneck per iteration; the reference
-    rescans the whole active set to rebuild per-link flow counts each time —
-    O(flows) per iteration on top of the O(links) share scan.  This variant
-    maintains the count vector incrementally: counts start as one bincount
-    over all non-loopback flows and each iteration subtracts exactly the
-    frozen flows' incidence.  Counts are integers (stored as float64 and
-    well below 2**53), so the subtraction is exact, ``remaining / counts``
-    sees bit-identical operands, and the freeze order — hence every rate —
-    matches the reference exactly.  The equivalence suite pins this.
+    Same contract, same rates bit for bit.  Exactness rests on replaying
+    the reference's arithmetic and its choices:
+
+    * links are numbered in first-appearance order over ``flows`` (a
+      loopback flow still registers its source's uplink), and ties on the
+      share pop the lowest link number — exactly ``np.argmin``'s pick;
+    * a share is ``remaining / count`` with an integral count;
+    * a freeze of k flows at ``share`` charges each touched link ``share``
+      added k times from ``0.0`` (``np.add.at``'s sum, which ``k * share``
+      is not), then clamps the link's remaining capacity at ``0.0``;
+    * filling stops at an infinite share, leaving the rest rated ``0.0``.
+
+    Heap entries are ``(share, link)``; an entry is live while it equals
+    the link's current share and the link still carries unfrozen flows.
     """
     n = len(flows)
     if n == 0:
         return []
-
-    link_index: Dict[Tuple[str, str], int] = {}
-    link_caps: List[float] = []
-
-    def _link(kind: str, node: str) -> int:
-        key = (kind, node)
-        idx = link_index.get(key)
-        if idx is None:
-            caps = capacities.uplink if kind == "up" else capacities.downlink
-            if node not in caps:
-                raise ConfigurationError(f"flow references unregistered node {node!r}")
-            idx = len(link_caps)
-            link_index[key] = idx
-            link_caps.append(caps[node])
-        return idx
-
-    flow_links = np.empty((n, 2), dtype=np.int64)
-    loopback = np.zeros(n, dtype=bool)
+    uplink = capacities.uplink
+    downlink = capacities.downlink
+    up_index: Dict[str, int] = {}
+    down_index: Dict[str, int] = {}
+    remaining: List[float] = []
+    members: List[List[int]] = []
+    ends: List[Tuple[int, int]] = [(0, 0)] * n
+    rates = [0.0] * n
+    frozen = [False] * n
     for i, (src, dst) in enumerate(flows):
+        up = up_index.get(src)
+        if up is None:
+            if src not in uplink:
+                raise ConfigurationError(f"flow references unregistered node {src!r}")
+            up = up_index[src] = len(remaining)
+            remaining.append(float(uplink[src]))
+            members.append([])
         if src == dst:
-            loopback[i] = True
-            idx = _link("up", src)
-            flow_links[i, 0] = idx
-            flow_links[i, 1] = idx
-        else:
-            flow_links[i, 0] = _link("up", src)
-            flow_links[i, 1] = _link("down", dst)
+            rates[i] = math.inf
+            frozen[i] = True
+            continue
+        down = down_index.get(dst)
+        if down is None:
+            if dst not in downlink:
+                raise ConfigurationError(f"flow references unregistered node {dst!r}")
+            down = down_index[dst] = len(remaining)
+            remaining.append(float(downlink[dst]))
+            members.append([])
+        members[up].append(i)
+        members[down].append(i)
+        ends[i] = (up, down)
 
-    caps = np.asarray(link_caps, dtype=np.float64)
-    rates = np.zeros(n, dtype=np.float64)
-    frozen = loopback.copy()
-    rates[loopback] = np.inf
-
-    remaining = caps.copy()
-    counts = np.bincount(flow_links[~frozen].ravel(), minlength=len(caps)).astype(
-        np.float64
-    )
-    active_flows = n - int(frozen.sum())
-    while active_flows:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shares = np.where(counts > 0, remaining / counts, np.inf)
-        bottleneck = int(np.argmin(shares))
-        share = shares[bottleneck]
-        if not np.isfinite(share):
+    counts = [len(m) for m in members]
+    shares = [r / c if c else math.inf for r, c in zip(remaining, counts)]
+    heap = [(share, link) for link, share in enumerate(shares) if counts[link]]
+    heapq.heapify(heap)
+    while heap:
+        share, link = heapq.heappop(heap)
+        if not counts[link] or share != shares[link]:
+            continue  # stale entry
+        if share == math.inf:
             break
-        crosses = ~frozen & (
-            (flow_links[:, 0] == bottleneck) | (flow_links[:, 1] == bottleneck)
-        )
-        rates[crosses] = share
-        frozen |= crosses
-        consumed = np.zeros_like(remaining)
-        np.add.at(consumed, flow_links[crosses, 0], share)
-        np.add.at(consumed, flow_links[crosses, 1], share)
-        remaining = np.maximum(remaining - consumed, 0.0)
-        # Retire the frozen flows from the counts: exact integer arithmetic
-        # in float64, so the next iteration's shares match the reference's
-        # from-scratch bincount bit for bit.
-        counts -= np.bincount(
-            flow_links[crosses].ravel(), minlength=len(caps)
-        ).astype(np.float64)
-        active_flows -= int(crosses.sum())
-
-    return rates.tolist()
+        # Freeze the bottleneck's unfrozen flows; tally the other link of
+        # each (the bottleneck itself is retired outright).
+        touched: Dict[int, int] = {}
+        for i in members[link]:
+            if frozen[i]:
+                continue
+            frozen[i] = True
+            rates[i] = share
+            up, down = ends[i]
+            other = down if up == link else up
+            touched[other] = touched.get(other, 0) + 1
+        counts[link] = 0
+        for other, k in touched.items():
+            consumed = 0.0
+            for _ in range(k):
+                consumed += share
+            left = remaining[other] = max(remaining[other] - consumed, 0.0)
+            count = counts[other] - k
+            counts[other] = count
+            if count:
+                shares[other] = left / count
+                heapq.heappush(heap, (shares[other], other))
+    return rates

@@ -17,12 +17,13 @@ progressive filling:
    the fabric batches all flow changes of one simulated instant this way.
 
 Equivalence to the reference is by construction: the affected subgraph is
-re-solved by calling ``maxmin_rates`` itself on the component's flows in
+re-solved by :func:`~repro.network.bandwidth.maxmin_rates_heap` — whose
+rates equal ``maxmin_rates``'s bit for bit — on the component's flows in
 their global arrival order, and an untouched component's previously stored
-rates are exactly what a full recompute would re-derive for it (the kernel's
-arithmetic never crosses component boundaries).  The hypothesis property
-suite (``tests/property/test_rate_engine_equivalence.py``) checks this after
-random operation sequences.
+rates are exactly what a full recompute would re-derive for it (the
+water-filling arithmetic never crosses component boundaries).  The
+hypothesis property suite (``tests/property/test_rate_engine_equivalence.py``)
+checks this after random operation sequences.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ import time
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.network.bandwidth import (
-    LinkCapacities,
-    maxmin_rates,
-    maxmin_rates_vectorized,
-)
+from repro.network.bandwidth import LinkCapacities, maxmin_rates, maxmin_rates_heap
 from repro.obs.metrics import NULL_METRICS, SIZE_BUCKETS
 
 __all__ = ["RateEngine"]
@@ -73,30 +70,23 @@ class RateEngine:
         counters: Optional[object] = None,
         tracer: Optional[object] = None,
         metrics: Optional[object] = None,
-        kernel: Optional[object] = None,
-        engine_label: str = "incremental",
     ):
         self.capacities = capacities
         self.counters = counters
         self.tracer = tracer
-        # The water-filling kernel used to re-solve affected components:
-        # the reference `maxmin_rates` (default) or the bitwise-identical
-        # `maxmin_rates_vectorized` when the fabric runs --network-engine
-        # vectorized.
-        self._kernel = maxmin_rates if kernel is None else kernel
         if metrics is None:
             metrics = NULL_METRICS
         self._m_recomputes = metrics.counter(
             "net_rate_recomputes_total",
             "Water-filling passes executed, by allocator engine.",
             ("engine",),
-        ).labels(engine=engine_label)
+        ).labels(engine="incremental")
         self._m_component = metrics.histogram(
             "net_dirty_component_flows",
             "Flows re-rated per recompute (dirty-component size).",
             ("engine",),
             buckets=SIZE_BUCKETS,
-        ).labels(engine=engine_label)
+        ).labels(engine="incremental")
         self._flows: Dict[Hashable, Tuple[str, str]] = {}
         self._seq: Dict[Hashable, int] = {}
         self._next_seq = 0
@@ -222,12 +212,10 @@ class RateEngine:
         if affected:
             ordered = sorted(affected, key=self._seq.__getitem__)
             flows = [self._flows[fid] for fid in ordered]
-            rates = self._kernel(flows, self.capacities)
+            rates = maxmin_rates_heap(flows, self.capacities)
             for fid, rate in zip(ordered, rates):
                 self._rates[fid] = rate
                 changed[fid] = rate
-
-        if affected:
             self._m_recomputes.inc()
             self._m_component.observe(len(affected))
         if self.counters is not None:

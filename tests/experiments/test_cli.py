@@ -74,6 +74,7 @@ class TestInvalidInput:
         [
             ["run", "--delay-wait", "-1"],
             ["run", "--apps", "0"],
+            ["run", "--replication", "5", "--nodes", "3"],
         ],
     )
     def test_one_line_error(self, capsys, argv):

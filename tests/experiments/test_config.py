@@ -32,6 +32,7 @@ def test_paper_defaults():
         {"replication": 0},
         {"delay_wait": -1.0},
         {"rack_wait": -0.5},
+        {"replication": 5, "num_nodes": 3},
     ],
 )
 def test_invalid_configs(kwargs):

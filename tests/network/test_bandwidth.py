@@ -25,6 +25,12 @@ class TestLinkCapacities:
         with pytest.raises(ConfigurationError):
             caps(a=(10, -1))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ConfigurationError):
+            caps(a=(float("nan"), 10))
+        with pytest.raises(ConfigurationError):
+            caps(a=(10, float("nan")))
+
     def test_contains_requires_both_directions(self):
         # A node is registered only when *both* its uplink and downlink
         # exist; a half-registered node must not claim membership.

@@ -173,6 +173,14 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             engine.remove_flow("ghost")
 
+    def test_kernel_is_not_a_knob(self):
+        # The engine runs one kernel, maxmin_rates_heap; the removed
+        # kernel=/engine_label= arguments must stay removed.
+        with pytest.raises(TypeError):
+            RateEngine(caps(a=(1, 1)), kernel=maxmin_rates)
+        with pytest.raises(TypeError):
+            RateEngine(caps(a=(1, 1)), engine_label="vectorized")
+
 
 class TestBookkeeping:
     def test_dirty_flag_lifecycle(self):

@@ -2,25 +2,20 @@
 
 For *any* interleaving of flow arrivals, departures, and recomputes —
 including loopback flows and single-flow instances — the engine's rate
-vector must match ``maxmin_rates`` run from scratch on the surviving
-flows, within 1e-9.  (In practice the match is exact: the engine runs the
-same kernel on each dirty component with insertion-ordered flows.)
+vector must equal ``maxmin_rates`` run from scratch on the surviving
+non-loopback flows, bit for bit: the engine's heap kernel replays the
+reference's arithmetic on each dirty component with insertion-ordered
+flows, which the kernel properties below pin on their own.
 """
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.bandwidth import (
-    LinkCapacities,
-    maxmin_rates,
-    maxmin_rates_vectorized,
-)
+from repro.common.errors import ConfigurationError
+from repro.network.bandwidth import LinkCapacities, maxmin_rates, maxmin_rates_heap
 from repro.network.rate_engine import RateEngine
-
-KERNELS = {"incremental": None, "vectorized": maxmin_rates_vectorized}
 
 
 @st.composite
@@ -73,12 +68,11 @@ def reference_vector(live_flows, caps):
     return expected
 
 
-@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 @given(churn_scripts())
 @settings(max_examples=200, deadline=None)
-def test_engine_matches_fresh_recompute_after_any_churn(kernel_name, script):
+def test_engine_matches_fresh_recompute_after_any_churn(script):
     caps, ops = script
-    engine = RateEngine(caps, kernel=KERNELS[kernel_name], engine_label=kernel_name)
+    engine = RateEngine(caps)
     live = []  # [(fid, (src, dst))] in insertion order
     next_id = 0
     for op in ops:
@@ -95,12 +89,9 @@ def test_engine_matches_fresh_recompute_after_any_churn(kernel_name, script):
 
     got = engine.rates()
     expected = reference_vector(live, caps)
-    assert set(got) == set(expected)
-    for fid, want in expected.items():
-        if math.isinf(want):
-            assert math.isinf(got[fid]), fid
-        else:
-            assert abs(got[fid] - want) <= 1e-9 * max(1.0, abs(want)), fid
+    assert {fid: rate.hex() for fid, rate in got.items()} == {
+        fid: rate.hex() for fid, rate in expected.items()
+    }
 
 
 @given(churn_scripts())
@@ -129,15 +120,93 @@ def test_recompute_placement_is_irrelevant(script):
     assert eager.rates() == lazy.rates()
 
 
-@given(churn_scripts())
-@settings(max_examples=200, deadline=None)
-def test_vectorized_kernel_is_bitwise_identical(script):
-    """The numpy-bookkeeping kernel equals the reference *exactly* — same
-    freeze order, same float operands — for any flow population including
-    loopbacks and repeated endpoints."""
-    caps, ops = script
-    flows = [(op[1], op[2]) for op in ops if op[0] == "add"]
-    assert maxmin_rates_vectorized(flows, caps) == maxmin_rates(flows, caps)
+def outcome(kernel, flows, caps):
+    """A kernel's rates as ``float.hex`` strings, or its error message."""
+    try:
+        return [rate.hex() for rate in kernel(flows, caps)]
+    except ConfigurationError as exc:
+        return ("error", str(exc))
+
+
+#: Capacities drawn from a small pool so equal shares (argmin ties) and
+#: infinite links are common, mixed with arbitrary finite values.
+capacity = st.one_of(
+    st.sampled_from([1.0, 2.0, 3.0, 0.5, 10.0, math.inf]),
+    st.floats(min_value=1e-3, max_value=1e6),
+)
+
+
+@st.composite
+def kernel_instances(draw):
+    """Capacities plus a flow list, possibly naming one unregistered node."""
+    n_nodes = draw(st.integers(min_value=1, max_value=7))
+    caps = LinkCapacities()
+    for i in range(n_nodes):
+        caps.add_node(f"n{i}", uplink=draw(capacity), downlink=draw(capacity))
+    # Index n_nodes is a ghost node: any flow naming it must be rejected
+    # with the reference's message for whichever endpoint it hits first.
+    top = n_nodes if draw(st.booleans()) else n_nodes - 1
+    node = st.integers(min_value=0, max_value=top).map(lambda i: f"n{i}")
+    # Parallel flows between one pair make a freeze charge a link many
+    # times at once, where repeated addition and ``k * share`` part ways.
+    repeats = st.integers(min_value=1, max_value=9)
+    runs = draw(st.lists(st.tuples(node, node, repeats), max_size=10))
+    flows = [(src, dst) for src, dst, k in runs for _ in range(k)]
+    return caps, flows
+
+
+@given(kernel_instances(), st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_heap_kernel_is_bitwise_identical(instance, rnd):
+    """The heap kernel equals the numpy reference *exactly* — same freeze
+    order, same float operands, same error — for any flow population and
+    any order of it, including loopbacks, infinite and equal capacities."""
+    caps, flows = instance
+    assert outcome(maxmin_rates_heap, flows, caps) == outcome(maxmin_rates, flows, caps)
+    shuffled = list(flows)
+    rnd.shuffle(shuffled)
+    assert outcome(maxmin_rates_heap, shuffled, caps) == outcome(
+        maxmin_rates, shuffled, caps
+    )
+
+
+def test_heap_kernel_breaks_share_ties_by_first_appearance():
+    """Two links tie on share; the reference's tie-break decides the bits.
+
+    Links in first-appearance order: #0 up:a (0.7; flows 0, 2, 3),
+    #1 down:b, #2 up:b, #3 down:c (0.7; flows 1, 2, 3).  #0 and #3 tie at
+    0.7 / 3, and ``np.argmin`` freezes #0 first: flows 0, 2, 3 get the
+    share, and flow 1 gets what down:c has left, ``0.7 - (s + s)``, which
+    rounds one ulp above ``s``.  Freezing #3 first would hand that ulp to
+    flow 0 instead.
+    """
+    caps = LinkCapacities()
+    caps.add_node("a", uplink=0.7, downlink=1.0)
+    caps.add_node("b", uplink=0.3, downlink=0.6)
+    caps.add_node("c", uplink=0.3, downlink=0.7)
+    flows = [("a", "b"), ("b", "c"), ("a", "c"), ("a", "c")]
+    share = 0.7 / 3
+    want = [share, 0.7 - (share + share), share, share]
+    assert want[1] != share  # the tie-break is observable
+    assert [r.hex() for r in maxmin_rates(flows, caps)] == [r.hex() for r in want]
+    assert [r.hex() for r in maxmin_rates_heap(flows, caps)] == [r.hex() for r in want]
+
+
+def test_heap_kernel_charges_a_link_by_repeated_addition():
+    """Eight flows freeze at once on up:a and charge down:b eight shares.
+
+    ``np.add.at`` sums them one by one — 0.0875 added eight times is
+    0.7000000000000001, while ``8 * 0.0875`` is 0.7 — and the last flow
+    gets what down:b has left, so the two sums differ in its rate.
+    """
+    caps = LinkCapacities()
+    caps.add_node("a", uplink=0.7, downlink=100.0)
+    caps.add_node("b", uplink=100.0, downlink=1.4)
+    caps.add_node("c", uplink=100.0, downlink=100.0)
+    flows = [("a", "b")] * 8 + [("c", "b")]
+    want = [0.0875] * 8 + [0.6999999999999998]
+    assert [r.hex() for r in maxmin_rates(flows, caps)] == [r.hex() for r in want]
+    assert [r.hex() for r in maxmin_rates_heap(flows, caps)] == [r.hex() for r in want]
 
 
 @given(

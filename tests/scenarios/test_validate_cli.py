@@ -75,4 +75,4 @@ class TestCommand:
         }
         assert engines == {("incremental", "incremental"),
                            ("reference", "reference"),
-                           ("vectorized", "vectorized")}
+                           ("incremental", "vectorized")}
