@@ -13,7 +13,12 @@ faults compose), and every liveness query is answered analytically from
 those intervals — "which was the last heartbeat tick that fell outside an
 outage?".  A periodic heartbeat event would keep the event queue non-empty
 forever and break the runner's run-to-quiescence loop; the lazy form is
-exactly equivalent and costs O(#outage intervals) per query.
+exactly equivalent.  A query costs O(#outage intervals) on the fixed
+window and O(#outage intervals × #slow segments) on the adaptive detector.
+The adaptive detector memoises its beliefs per instant: between two
+mutations (outage, slowdown or failure report) at one ``sim.now`` each node
+is scored once.  A node that was never slowed skips the slow-segment walk,
+and one that never had an outage needs a single emission lookup.
 """
 
 from __future__ import annotations
@@ -121,6 +126,8 @@ class FailureDetector:
         #: node id → last time a failed launch was reported against it
         self._reported: Dict[str, float] = {}
         self.reported_failures = 0
+        #: bumped by every outage, slowdown and failure report
+        self._epoch = 0
 
     # ----------------------------------------------------------- injector side
     def history(self, node_id: str) -> NodeHealthHistory:
@@ -132,10 +139,12 @@ class FailureDetector:
 
     def begin_outage(self, node_id: str) -> None:
         """The node stopped heartbeating (crash or partition) — now."""
+        self._epoch += 1
         self.history(node_id).begin(self.sim.now)
 
     def end_outage(self, node_id: str) -> None:
         """The node's fault cleared; heartbeats resume from the next tick."""
+        self._epoch += 1
         self.history(node_id).end(self.sim.now)
 
     def begin_slow(self, node_id: str, factor: float) -> None:
@@ -164,6 +173,7 @@ class FailureDetector:
         The suspicion clears as soon as a heartbeat tick *after* the report
         succeeds (the node actually recovered)."""
         self._reported[node_id] = max(self._reported.get(node_id, 0.0), self.sim.now)
+        self._epoch += 1
         self.reported_failures += 1
         self._m_reports.inc()
         if self.tracer.enabled:
@@ -212,6 +222,10 @@ class FailureDetector:
         if reported is not None and last <= reported:
             return False
         return (now - last) <= self.timeout
+
+    def state(self, node_id: str) -> str:
+        """The master's belief: "alive" or "dead" (no gray zone here)."""
+        return "alive" if self.is_alive(node_id) else "dead"
 
     def suspected_dead(self, node_ids) -> List[str]:
         """Subset of ``node_ids`` the master currently believes dead."""
@@ -298,6 +312,9 @@ class AdaptiveFailureDetector(FailureDetector):
         self._slow_closed: Dict[str, List[Tuple[float, float, float]]] = {}
         #: node id → last belief state a query observed
         self._last_state: Dict[str, str] = {}
+        #: node id → belief at ``_beliefs_at`` = (sim.now, _epoch)
+        self._beliefs: Dict[str, str] = {}
+        self._beliefs_at: Tuple[float, int] = (float("nan"), -1)
         self.suspicions = 0
         self.false_positives = 0
         self.false_negatives = 0
@@ -306,6 +323,7 @@ class AdaptiveFailureDetector(FailureDetector):
     # ---------------------------------------------------------- injector side
     def begin_slow(self, node_id: str, factor: float) -> None:
         """Open (or deepen) a slow window; effective factor is the max."""
+        self._epoch += 1
         now = self.sim.now
         open_ = self._slow_open.get(node_id)
         if open_ is None:
@@ -323,6 +341,7 @@ class AdaptiveFailureDetector(FailureDetector):
         open_ = self._slow_open.get(node_id)
         if open_ is None:
             return  # unmatched end (injector gc after a detector swap)
+        self._epoch += 1
         now = self.sim.now
         start, factors = open_
         effective = max(factors)
@@ -364,8 +383,15 @@ class AdaptiveFailureDetector(FailureDetector):
                 segments.append((start, self.sim.now, max(factors)))
         return segments
 
+    def _steady(self, node_id: str) -> bool:
+        """True when the node was never slowed: its emission clock is real
+        time, and :meth:`_virtual` / :meth:`_real` are the identity."""
+        return node_id not in self._slow_open and node_id not in self._slow_closed
+
     def _virtual(self, node_id: str, t: float) -> float:
         """Real time → emission-clock time (slow segments tick slower)."""
+        if self._steady(node_id):
+            return t
         v = t
         for start, end, factor in self._segments(node_id):
             lo = min(start, t)
@@ -376,7 +402,8 @@ class AdaptiveFailureDetector(FailureDetector):
 
     def _real(self, node_id: str, v_target: float) -> float:
         """Emission-clock time → real time (inverse of :meth:`_virtual`)."""
-        if v_target <= 0.0:
+        # ``0.0 + (v_target - 0.0)`` with no segment is ``v_target`` exactly.
+        if v_target <= 0.0 or self._steady(node_id):
             return v_target
         t = 0.0
         v = 0.0
@@ -422,7 +449,9 @@ class AdaptiveFailureDetector(FailureDetector):
         floored at the nominal interval so an idle history cannot make the
         detector hair-triggered.
         """
-        last = self.last_heartbeat(node_id)
+        return self._mean_gap(node_id, self.last_heartbeat(node_id))
+
+    def _mean_gap(self, node_id: str, last: float) -> float:
         k = self._emission_index(node_id, last)
         n = min(self.window, k)
         if n < 1:
@@ -432,20 +461,36 @@ class AdaptiveFailureDetector(FailureDetector):
 
     def phi(self, node_id: str) -> float:
         """Suspicion score: elapsed silence in units of the adaptive gap."""
-        elapsed = self.sim.now - self.last_heartbeat(node_id)
+        return self._phi(node_id, self.last_heartbeat(node_id))
+
+    def _phi(self, node_id: str, last: float) -> float:
+        elapsed = self.sim.now - last
         if elapsed <= 0.0:
             return 0.0
-        return elapsed / self.mean_gap(node_id)
+        return elapsed / self._mean_gap(node_id, last)
 
     # ------------------------------------------------------------ master side
     def state(self, node_id: str) -> str:
-        """The master's belief: "alive", "suspected" or "dead"."""
+        """The master's belief: "alive", "suspected" or "dead".
+
+        Memoised per ``(sim.now, mutation epoch)``: a repeat query at the
+        same instant with no outage, slowdown or report in between returns
+        the first answer (whose :meth:`_observe` already recorded it, so a
+        repeat would record nothing).
+        """
+        at = (self.sim.now, self._epoch)
+        if at != self._beliefs_at:
+            self._beliefs = {}
+            self._beliefs_at = at
+        state = self._beliefs.get(node_id)
+        if state is not None:
+            return state
         last = self.last_heartbeat(node_id)
         reported = self._reported.get(node_id)
         if reported is not None and last <= reported:
             state = "dead"
         else:
-            score = self.phi(node_id)
+            score = self._phi(node_id, last)
             if score >= self.dead_after:
                 state = "dead"
             elif score >= self.suspect_after:
@@ -453,6 +498,7 @@ class AdaptiveFailureDetector(FailureDetector):
             else:
                 state = "alive"
         self._observe(node_id, state)
+        self._beliefs[node_id] = state
         return state
 
     def is_alive(self, node_id: str) -> bool:

@@ -198,7 +198,6 @@ class ClusterManager(abc.ABC):
             return False
         executor.allocate(driver.app_id)
         self._m_grants_ok.inc()
-        self._note_pool_change(executor)
         if self.timeline is not None:
             self.timeline.record(
                 "executor.grant",
@@ -239,7 +238,6 @@ class ClusterManager(abc.ABC):
         executor.release()
         if self.recovery is not None:
             self.recovery.note_release(executor.executor_id, driver.app_id)
-        self._note_pool_change(executor)
         if self.timeline is not None:
             self.timeline.record(
                 "executor.release", executor.executor_id, app=driver.app_id
@@ -311,9 +309,6 @@ class ClusterManager(abc.ABC):
     def _allocation_round(self) -> None:
         """Subclass hook: the policy's allocation pass (one round)."""
 
-    def _note_pool_change(self, executor: Executor) -> None:
-        """Subclass hook: ``executor`` just entered or left the free pool."""
-
     def trace_round(self, **attrs) -> None:
         """Emit one :class:`AllocationRound` event for the pass just run.
 
@@ -336,14 +331,17 @@ class ClusterManager(abc.ABC):
         )
 
     def free_pool(self) -> List[Executor]:
-        """Free executors *as the master believes them* (creation order).
+        """Free executors *as the master believes them*.
 
-        Without fault injection this is ground truth.  With an injector but
-        no detector the master is omniscient about liveness yet cannot reach
-        partitioned nodes.  With a detector the view is heartbeat-delayed: a
-        just-died node's executors still look allocatable until the timeout
-        expires (grants on them fail, see :meth:`grant`), and a recovered
-        node only re-enters the pool once believed alive again.
+        Without fault injection this is ground truth, in creation order.
+        With an injector but no detector the master is omniscient about
+        liveness yet cannot reach partitioned nodes (creation order again).
+        With a detector the view is heartbeat-delayed: a just-died node's
+        executors still look allocatable until the timeout expires (grants
+        on them fail, see :meth:`grant`), and a recovered node only
+        re-enters the pool once believed alive again.  Executors on nodes
+        the detector *suspects* come last: the order is creation order
+        among unsuspected nodes' executors, then among suspected ones'.
         """
         injector = self.fault_injector
         if injector is None:
@@ -355,19 +353,24 @@ class ClusterManager(abc.ABC):
                 for e in self.cluster.free_executors()
                 if injector.node_reachable(e.node_id)
             ]
-        pool = [
-            e
-            for e in self.cluster.executors
-            if e.is_free
-            and detector.is_alive(e.node_id)
-            and (e.healthy or injector.node_down(e.node_id))
-        ]
+        # One belief per node, asked in the order the nodes' first free
+        # executors appear (the order the detector records transitions in).
+        beliefs: Dict[str, str] = {}
+        pool: List[Executor] = []
         # Gray-failure deprioritisation: executors on *suspected* nodes sink
-        # to the back of the pool (stable, so order within each class is
-        # unchanged).  The fixed-window detector never suspects, so this is
-        # the identity ordering unless the adaptive detector is in play.
-        pool.sort(key=lambda e: detector.is_suspected(e.node_id))
-        return pool
+        # to the back of the pool.  The fixed-window detector never suspects.
+        suspected: List[Executor] = []
+        for e in self.cluster.executors:
+            if not e.is_free:
+                continue
+            node = e.node_id
+            belief = beliefs.get(node)
+            if belief is None:
+                belief = beliefs[node] = detector.state(node)
+            if belief == "dead" or not (e.healthy or injector.node_down(node)):
+                continue
+            (suspected if belief == "suspected" else pool).append(e)
+        return pool + suspected
 
     # --------------------------------------------------------------- admission
     def attach_admission(self, controller) -> None:

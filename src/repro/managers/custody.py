@@ -31,10 +31,12 @@ Two control-plane implementations share this round structure:
   entries stay valid while the driver's ``demand_epoch``, the NameNode
   version and the free pool on the demand's *watched* replica nodes are all
   unchanged; and the O(1) locality counters the drivers maintain through
-  ``Application.note_input_decided``.  The incremental path produces
-  byte-identical demands and plans — the equivalence suite asserts it — and
-  is bypassed under fault injection, where the master's stale liveness view
-  makes pool membership unobservable through :meth:`_note_pool_change`.
+  ``Application.note_input_decided``.  Pool changes are found by diffing
+  each round's free pool, node by node, against the previous round's, so
+  they are seen however they happen — grants, releases, recovery reclaims,
+  or the detector's beliefs moving under fault injection.  The incremental
+  path produces byte-identical demands and plans, with or without faults
+  — the equivalence suites assert it.
 """
 
 from __future__ import annotations
@@ -133,9 +135,12 @@ class CustodyManager(ClusterManager):
         #: per-NameNode-version replica memo: block id → serving node list
         self._serving_memo: Dict[str, List[str]] = {}
         self._serving_memo_version = -1
-        #: pool clock: bumped on every grant/release, per-node high-water mark
+        #: pool clock: bumped once per round in which some node's free list
+        #: changed; ``_node_version`` is each node's last change
         self._pool_version = 0
         self._node_version: Dict[str, int] = {}
+        #: node id → its free executor ids in the last round's pool
+        self._free_by_node: Dict[str, List[str]] = {}
         #: apps whose scheduler accepts task hints (skip hint plumbing else)
         self._hint_drivers: Set[str] = set()
 
@@ -162,21 +167,20 @@ class CustodyManager(ClusterManager):
     # ------------------------------------------------------- incremental indexes
     @property
     def _incremental_enabled(self) -> bool:
-        """Caches apply only on the incremental engine without fault injection.
+        """Caches apply on every engine but the ``reference`` oracle."""
+        return self.alloc_engine in ("incremental", "vectorized")
 
-        Under faults the believed free pool changes through detector state
-        transitions that never pass :meth:`_note_pool_change`, so cached
-        demands could go stale invisibly; the reference rebuild is the
-        correct (and rare) path there.
-        """
-        return (
-            self.alloc_engine in ("incremental", "vectorized")
-            and self.fault_injector is None
-        )
-
-    def _note_pool_change(self, executor: Executor) -> None:
-        self._pool_version += 1
-        self._node_version[executor.node_id] = self._pool_version
+    def _diff_pool(self, free_by_node: Dict[str, List[str]]) -> None:
+        """Stamp every node whose free executor list differs from the
+        previous round's with a fresh pool version."""
+        previous = self._free_by_node
+        changed = [n for n, ids in free_by_node.items() if previous.get(n) != ids]
+        changed += [n for n in previous if n not in free_by_node]
+        if changed:
+            self._pool_version += 1
+            for node in changed:
+                self._node_version[node] = self._pool_version
+        self._free_by_node = free_by_node
 
     def _serving(self, namenode, block_id: str) -> List[str]:
         """Memoised ``NameNode.serving_locations`` (one lookup per version).
@@ -414,7 +418,8 @@ class CustodyManager(ClusterManager):
         unchanged — covering runnable tasks, owned executors, task
         starts/finishes and hence held/fill/locality counters; (b) the
         NameNode version is unchanged — covering every replica set read; and
-        (c) no *watched* node's free pool moved since the entry was built —
+        (c) no *watched* node's free executor list changed between the
+        rounds that built and read the entry (:meth:`_diff_pool`) —
         covering candidate executor sets.  Watched nodes are the replica
         nodes of the entry's unsatisfied tasks: satisfied tasks' skip
         decisions read only owned nodes and replica sets, already covered
@@ -423,6 +428,7 @@ class CustodyManager(ClusterManager):
         free_by_node: Dict[str, List[str]] = {}
         for executor in pool:
             free_by_node.setdefault(executor.node_id, []).append(executor.executor_id)
+        self._diff_pool(free_by_node)
 
         demands: List[AppDemand] = []
         fill_limits: Dict[str, int] = {}

@@ -629,7 +629,6 @@ class RecoveryCoordinator:
         if driver is not None:
             self.tasks_requeued += driver.reclaim_executor(executor)
         executor.release()
-        manager._note_pool_change(executor)
 
     def _complete_recovery(self, gen: int, crash_time: float) -> None:
         """Reconciliation window over: resume allocation, drain buffers."""

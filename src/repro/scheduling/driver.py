@@ -32,7 +32,7 @@ Tasks run as interruptible **attempts** so two mechanisms compose:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.executor import Executor
@@ -211,7 +211,14 @@ class ApplicationDriver:
         #: notification is delivered by retry or by the recovery flush
         self._pending_submissions: List[Job] = []
         self._executors: Dict[str, Executor] = {}
+        #: ``_executors`` in id order, rebuilt on attach/detach
+        self._ordered: Tuple[Executor, ...] = ()
         self._runnable = RunnableQueue()
+        #: ids of free executors whose last pick was None, valid while
+        #: ``_quiet_key`` (queue changes, NameNode version) holds and no
+        #: hints arrive — a pick cannot change answer before then
+        self._quiet: Set[str] = set()
+        self._quiet_key: Tuple[int, int] = (-1, -1)
         self._attempts: Dict[str, List[_Attempt]] = {}
         self._stage_remaining: Dict[Tuple[str, int], int] = {}
         self._stage_durations: Dict[Tuple[str, int], List[float]] = {}
@@ -305,7 +312,7 @@ class ApplicationDriver:
     @property
     def executors(self) -> List[Executor]:
         """Executors currently granted to this application (id order)."""
-        return [self._executors[k] for k in sorted(self._executors)]
+        return list(self._ordered)
 
     @property
     def executor_count(self) -> int:
@@ -434,6 +441,7 @@ class ApplicationDriver:
                 f"cannot attach to {self.app_id!r}"
             )
         self._executors[executor.executor_id] = executor
+        self._reorder()
         self.demand_epoch += 1
         self._dispatch()
 
@@ -444,6 +452,7 @@ class ApplicationDriver:
                 f"{executor.executor_id} is busy; cannot detach from {self.app_id}"
             )
         self._executors.pop(executor.executor_id, None)
+        self._reorder()
         self.demand_epoch += 1
 
     def consider_offer(self, executor: Executor) -> bool:
@@ -460,6 +469,7 @@ class ApplicationDriver:
         setter = getattr(self.scheduler, "set_hints", None)
         if setter is not None:
             setter(mapping)
+            self._quiet.clear()
 
     def on_executor_failure(self, executor: Executor) -> int:
         """Fault hook: kill every attempt on ``executor``, requeue the tasks.
@@ -488,6 +498,7 @@ class ApplicationDriver:
                 if self._handle_task_failure(task, executor.node_id, "executor-lost"):
                     requeued += 1
         self._executors.pop(executor.executor_id, None)
+        self._reorder()
         self.demand_epoch += 1
         self._dispatch()
         return requeued
@@ -521,9 +532,13 @@ class ApplicationDriver:
                 self._requeue_task(task, executor.node_id, dispatch=False)
                 requeued += 1
         self._executors.pop(executor.executor_id, None)
+        self._reorder()
         self.demand_epoch += 1
         self._dispatch()
         return requeued
+
+    def _reorder(self) -> None:
+        self._ordered = tuple(self._executors[k] for k in sorted(self._executors))
 
     # ------------------------------------------------------- retry / blacklist
     def _blacklisted(self, node_id: str) -> bool:
@@ -756,32 +771,45 @@ class ApplicationDriver:
             self._dispatch()
 
     def _dispatch(self) -> None:
-        """Greedily match runnable tasks to free slots, then arm the wakeup."""
+        """Greedily match runnable tasks to free slots, then arm the wakeup.
+
+        Executors in the quiet set are not asked again: their last pick was
+        None, and a pick can only change answer after a push, a locality-wait
+        promotion, a NameNode change or new hints (see
+        :class:`~repro.scheduling.queue.RunnableQueue`).
+        """
         namenode = self.hdfs.namenode
         now = self.sim.now
+        runnable, quiet = self._runnable, self._quiet
         progressed = True
-        while progressed and self._runnable:
+        while progressed and runnable:
             progressed = False
-            for executor in self.executors:
+            key = (runnable.advance(now), namenode.version)
+            if key != self._quiet_key:
+                quiet.clear()
+                self._quiet_key = key
+            for executor in self._ordered:
                 if (
-                    executor.free_slots <= 0
+                    executor.executor_id in quiet
+                    or executor.free_slots <= 0
                     or not executor.healthy
                     or self._blacklisted(executor.node_id)
                 ):
                     continue
                 task = self.scheduler.pick_task(
-                    self._runnable,
+                    runnable,
                     executor.node_id,
                     now,
                     namenode,
                     executor_id=executor.executor_id,
                 )
                 if task is None:
+                    quiet.add(executor.executor_id)
                     continue
-                self._runnable.remove(task)
+                runnable.remove(task)
                 self._start_attempt(task, executor, speculative=False)
                 progressed = True
-                if not self._runnable:
+                if not runnable:
                     break
         self._m_queue_depth.set(len(self._runnable))
         if self.speculation:
@@ -799,8 +827,7 @@ class ApplicationDriver:
         free = [e for e in self._executors.values() if e.free_slots > 0]
         if not free:
             return
-        usable = [e for e in free if not self._blacklisted(e.node_id)]
-        if not usable:
+        if all(self._blacklisted(e.node_id) for e in free):
             # Every free slot sits on an excluded node: wake up when the
             # earliest blacklist expiry / breaker probe admits one again.
             if self.breakers is not None:

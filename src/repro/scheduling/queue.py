@@ -30,6 +30,14 @@ Invariants (DESIGN.md §5):
   ``submitted_at`` and in ``now``, so a heap ordered by ``submitted_at``
   (by expiry) is drained from the top as time advances.  Should ``now`` go
   backwards, the affected structure is rebuilt from the live tasks.
+* **Change count.**  :attr:`RunnableQueue.changes` grows on every push and
+  on every promotion of a task from a rung's waiting heap to its expired
+  heap; a rung rebuilt because ``now`` went backwards counts too.  Removals
+  never grow it: every query is "the FIFO-first queued task with property
+  P", and dropping tasks cannot turn a None answer into a task.  So a
+  policy's None for one slot stays None while ``changes``, the NameNode
+  version and the policy's hints stay put — the driver's quiet set rests
+  on this (DESIGN.md §5).
 * A task's ``submitted_at`` must not change while it is queued.
 """
 
@@ -113,6 +121,8 @@ class RunnableQueue:
         self._seq: Dict[Task, int] = {}
         self._ids: Dict[str, Task] = {}
         self._counter = 0
+        #: pushes + promotions so far (see the module docstring)
+        self.changes = 0
         self._dead = 0
         self._head: List[Entry] = []
         self._shuffle: List[Entry] = []
@@ -153,6 +163,7 @@ class RunnableQueue:
             raise ValueError(f"task {task.task_id} is already queued")
         seq = self._counter
         self._counter += 1
+        self.changes += 1
         self._seq[task] = seq
         self._ids[task.task_id] = task
         entry = (seq, task)
@@ -238,6 +249,13 @@ class RunnableQueue:
             rung.unracked = []
         return self._first(rung.racks.get(topology.rack_of(node_id)), accept)
 
+    def advance(self, now: float) -> int:
+        """Promote every rung asked about so far to ``now``; return
+        :attr:`changes`."""
+        for wait in self._rungs:
+            self._promote(wait, now)
+        return self.changes
+
     def next_expiry(self, offsets: Tuple[float, ...], now: float) -> Optional[float]:
         """Least wake-up ``submitted_at + offsets[0] (+ offsets[1])`` over
         the queued input tasks that is ``> now``, or None."""
@@ -320,6 +338,8 @@ class RunnableQueue:
         from ``waiting`` to ``expired``."""
         rung = self._rungs.get(wait)
         if rung is None or now < rung.now:
+            if rung is not None:
+                self.changes += 1  # rebuilt for an earlier ``now``
             rung = _Rung(
                 wait,
                 [
@@ -339,6 +359,7 @@ class RunnableQueue:
             elif now - submitted_at >= wait:
                 heappop(waiting)
                 heappush(rung.expired, (seq, task))
+                self.changes += 1
                 if track_racks:
                     rung.unracked.append((seq, task))
             else:

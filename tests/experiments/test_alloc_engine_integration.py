@@ -2,7 +2,8 @@
 
 ``--alloc-engine incremental`` (the default) must be a pure optimisation:
 for every manager, a full experiment run under either engine — at the same
-coalescing setting — produces identical metrics.  Coalescing itself is
+coalescing setting, with or without fault injection — produces identical
+metrics.  Coalescing itself is
 pinned separately: the runner's default (on) must match per-event rounds
 for the standard scenarios.
 """
@@ -26,16 +27,46 @@ def small_config(**kw):
     )
 
 
-@pytest.mark.parametrize("manager", ["custody", "standalone", "yarn", "mesos"])
+def faulted_inputs(**kw):
+    """A gray + crash + manager-crash plan under the adaptive detector with
+    circuit breakers and crash recovery."""
+    import numpy as np
+
+    from repro.faults.chaos import build_chaos_plan
+
+    config = small_config(
+        manager_recovery=True, detector_timeout=10.0, detector_mode="adaptive",
+        circuit_breaker=True, retry_jitter=True, **kw,
+    )
+    plan = build_chaos_plan(
+        config.num_nodes, config.executors_per_node, np.random.default_rng(5),
+        node_failures=2, partitions=1, degradations=1, executor_failures=2,
+        slowdowns=2, link_flaps=1, correlated_failures=1, manager_crashes=1,
+        horizon=40.0,
+    )
+    return config, plan
+
+
+@pytest.mark.parametrize(
+    "manager", ["custody", "standalone", "yarn", "mesos", "custody-faulted"]
+)
 def test_engines_produce_identical_metrics(manager):
-    results = {
-        engine: run_experiment(small_config(manager=manager, alloc_engine=engine))
-        for engine in ("incremental", "reference")
-    }
+    results = {}
+    for engine in ("incremental", "reference"):
+        if manager == "custody-faulted":
+            config, plan = faulted_inputs(manager="custody", alloc_engine=engine)
+            results[engine] = run_experiment(config, fault_plan=plan)
+        else:
+            config = small_config(manager=manager, alloc_engine=engine)
+            results[engine] = run_experiment(config)
     inc, ref = results["incremental"], results["reference"]
     assert inc.metrics.as_dict() == ref.metrics.as_dict()
     assert inc.sim_time == ref.sim_time
     assert inc.allocation_rounds == ref.allocation_rounds
+    if manager == "custody-faulted":
+        # The faults fired, and the incremental engine really cached.
+        assert inc.faults.injected > 0 and inc.recovery.recoveries > 0
+        assert inc.manager.demand_cache_hits > 0
 
 
 def test_coalescing_default_matches_per_event_rounds():

@@ -7,7 +7,9 @@ queue and one list through the same random history — enqueues, launches,
 requeues that keep their old ``submitted_at``, KMN cancels, time advances,
 replica add/loss, cache add/evict, hints — and after every step compares the
 pick on every node (and executor), the Mesos offer answer and the next
-wake-up.
+wake-up.  A second property pins the driver's quiet-set rule over the same
+histories: a None pick stays None until the queue's change count, the
+NameNode version or the hints move.
 """
 
 from __future__ import annotations
@@ -209,38 +211,39 @@ def check_all(sched, queue, runnable, now, namenode) -> None:
     assert sched.next_wakeup(queue, now) == scan_wakeup(sched, runnable, now)
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["delay", "delay-ladder", "hinted", "hinted-ladder", "locality-first", "fifo"],
-)
-@settings(max_examples=120, deadline=None)
-@given(
-    wait=st.sampled_from([0.0, 0.2, 1.0, 3.0]),
-    rack_wait=st.sampled_from([0.0, 0.1, 2.0]),
-    replicas=st.lists(st.tuples(block_ix, node_ix), max_size=10),
-    history=st.lists(ops, max_size=40),
-)
-def test_queue_picks_match_list_scan(kind, wait, rack_wait, replicas, history):
-    sched = make_scheduler(kind, wait, rack_wait)
-    namenode = make_namenode(replicas)
-    tasks = make_tasks()
-    queue = RunnableQueue()
-    runnable: List[Task] = []
-    now = 0.0
-    for op in history:
+KINDS = ["delay", "delay-ladder", "hinted", "hinted-ladder", "locality-first", "fifo"]
+
+
+class World:
+    """One queue and one list driven through the same history."""
+
+    def __init__(self, kind, wait, rack_wait, replicas):
+        self.sched = make_scheduler(kind, wait, rack_wait)
+        self.namenode = make_namenode(replicas)
+        self.tasks = make_tasks()
+        self.queue = RunnableQueue()
+        self.runnable: List[Task] = []
+        self.now = 0.0
+        #: ``set_hints`` calls so far
+        self.hints = 0
+
+    def apply(self, op) -> None:
+        sched, namenode, tasks = self.sched, self.namenode, self.tasks
+        queue, runnable = self.queue, self.runnable
         name = op[0]
         if name in ("enqueue", "requeue"):
             task = tasks[op[1]]
             if task in runnable:
-                continue
+                return
             if name == "enqueue":
-                task.submitted_at = now
+                task.submitted_at = self.now
             queue.push(task)
             runnable.append(task)
         elif name == "launch":
             node, executor = NODES[op[1]], op[2]
-            task = scan_pick(sched, runnable, node, now, namenode, executor)
-            assert sched.pick_task(queue, node, now, namenode, executor_id=executor) is task
+            task = scan_pick(sched, runnable, node, self.now, namenode, executor)
+            got = sched.pick_task(queue, node, self.now, namenode, executor_id=executor)
+            assert got is task
             if task is not None:
                 queue.remove(task)
                 runnable.remove(task)
@@ -250,7 +253,7 @@ def test_queue_picks_match_list_scan(kind, wait, rack_wait, replicas, history):
                 queue.remove(task)
                 runnable.remove(task)
         elif name == "advance":
-            now += op[1]
+            self.now += op[1]
         elif name == "add_replica":
             namenode.add_replica(f"b{op[1]}", NODES[op[2]])
         elif name == "lose_replica":
@@ -261,7 +264,59 @@ def test_queue_picks_match_list_scan(kind, wait, rack_wait, replicas, history):
             namenode.remove_cached_replica(f"b{op[1]}", NODES[op[2]])
         elif name == "hint" and isinstance(sched, HintedDelayScheduler):
             sched.set_hints({tasks[op[1]].task_id: op[2]})
-        check_all(sched, queue, runnable, now, namenode)
+            self.hints += 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=120, deadline=None)
+@given(
+    wait=st.sampled_from([0.0, 0.2, 1.0, 3.0]),
+    rack_wait=st.sampled_from([0.0, 0.1, 2.0]),
+    replicas=st.lists(st.tuples(block_ix, node_ix), max_size=10),
+    history=st.lists(ops, max_size=40),
+)
+def test_queue_picks_match_list_scan(kind, wait, rack_wait, replicas, history):
+    world = World(kind, wait, rack_wait, replicas)
+    for op in history:
+        world.apply(op)
+        check_all(world.sched, world.queue, world.runnable, world.now, world.namenode)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=120, deadline=None)
+@given(
+    wait=st.sampled_from([0.0, 0.2, 1.0, 3.0]),
+    rack_wait=st.sampled_from([0.0, 0.1, 2.0]),
+    replicas=st.lists(st.tuples(block_ix, node_ix), max_size=10),
+    history=st.lists(ops, max_size=40),
+)
+def test_quiet_pick_stays_none_until_its_key_moves(
+    kind, wait, rack_wait, replicas, history
+):
+    """The driver's quiet-set rule: an executor whose pick was None under
+    the key ``(queue.advance(now), NameNode.version, hints)`` gets None
+    again for as long as that key holds — whatever else happened (launches
+    elsewhere, cancels, time passing without a promotion)."""
+    world = World(kind, wait, rack_wait, replicas)
+    quiet = {}  # (node, executor) → key its last None pick was made under
+    for op in history:
+        world.apply(op)
+        for node in NODES:
+            for executor in EXECUTORS[1:]:
+                key = (
+                    world.queue.advance(world.now),
+                    world.namenode.version,
+                    world.hints,
+                )
+                pick = world.sched.pick_task(
+                    world.queue, node, world.now, world.namenode, executor_id=executor
+                )
+                if quiet.get((node, executor)) == key:
+                    assert pick is None, (node, executor, world.now)
+                if pick is None:
+                    quiet[(node, executor)] = key
+                else:
+                    quiet.pop((node, executor), None)
 
 
 @settings(max_examples=60, deadline=None)

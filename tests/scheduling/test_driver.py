@@ -9,7 +9,7 @@ from repro.hdfs.filesystem import HDFS
 from repro.hdfs.placement import PlacementPolicy
 from repro.network.fabric import NetworkFabric
 from repro.scheduling.driver import ApplicationDriver
-from repro.scheduling.policies import DelayScheduler, FifoScheduler
+from repro.scheduling.policies import DelayScheduler, FifoScheduler, HintedDelayScheduler
 from repro.simulation.engine import Simulation
 from repro.simulation.timeline import Timeline
 from repro.workload.application import Application
@@ -255,3 +255,62 @@ class TestBookkeeping:
         h.driver.submit_job(job)
         h.sim.run()
         assert job.finished  # wakeup timer released the task after 0.4 s
+
+
+class TestQuietSet:
+    """A free executor whose pick was None is not asked again until a push,
+    a locality-wait promotion, a NameNode change or new hints."""
+
+    def counted(self, h):
+        calls = []
+        pick = h.driver.scheduler.pick_task
+
+        def counting(runnable, node_id, *args, **kwargs):
+            calls.append(node_id)
+            return pick(runnable, node_id, *args, **kwargs)
+
+        h.driver.scheduler.pick_task = counting
+        return calls
+
+    def test_quiet_executor_is_not_asked_again(self):
+        h = Harness()
+        calls = self.counted(h)
+        h.give_executor(1)
+        h.driver.submit_job(h.input_job("j", [0]))  # block 0 lives on worker 0
+        assert calls == ["worker-001"]
+        h.driver._dispatch()
+        assert calls == ["worker-001"]  # nothing changed: no second pick
+        h.driver.submit_job(h.input_job("k", [2]))  # a push wakes it
+        assert calls == ["worker-001", "worker-001"]
+
+    def test_promotion_wakes_a_quiet_executor(self):
+        h = Harness()
+        h.give_executor(1)
+        job = h.input_job("j", [0])
+        h.driver.submit_job(job)
+        h.sim.run()
+        task = job.input_tasks[0]
+        assert task.node_id == "worker-001" and task.started_at == 0.4
+
+    def test_namenode_change_wakes_a_quiet_executor(self):
+        h = Harness()
+        h.give_executor(1)
+        job = h.input_job("j", [0])
+        h.driver.submit_job(job)
+        task = job.input_tasks[0]
+        assert task.started_at is None
+        h.hdfs.namenode.add_cached_replica(task.block.block_id, "worker-001")
+        h.driver._dispatch()
+        assert task.started_at == 0.0 and task.node_id == "worker-001"
+
+    def test_hints_wake_a_quiet_executor(self):
+        h = Harness()
+        h.driver.scheduler = HintedDelayScheduler(wait=0.4)
+        executor = h.give_executor(1)
+        job = h.input_job("j", [0])
+        h.driver.submit_job(job)
+        task = job.input_tasks[0]
+        assert task.started_at is None
+        h.driver.set_task_hints({task.task_id: executor.executor_id})
+        h.driver._dispatch()
+        assert task.started_at == 0.0 and task.node_id == "worker-001"

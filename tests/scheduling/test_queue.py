@@ -112,3 +112,36 @@ class TestExactness:
         assert sched.pick_task(queue, "n1", 0.0, namenode) is t0
         namenode.remove_cached_replica("b-0", "n1")
         assert sched.pick_task(queue, "n1", 0.0, namenode) is None
+
+
+class TestChangeCount:
+    def test_pushes_and_promotions_count_removals_do_not(self, namenode):
+        t0, t1 = input_task("t0", 0, submitted_at=0.0), input_task("t1", 1, submitted_at=1.0)
+        queue = RunnableQueue([t0, t1])
+        assert queue.changes == 2
+        assert queue.first_expired(3.0, 0.0) is None  # the rung is created
+        base = queue.advance(0.0)
+        assert queue.advance(2.9) == base  # nothing ran out yet
+        assert queue.advance(3.0) == base + 1  # t0's wait ran out
+        queue.remove(t1)
+        assert queue.advance(10.0) == base + 1  # t1 left before running out
+
+
+class TestLostWakeup:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known bug, fix deferred (ROADMAP): next_expiry arms at "
+        "submitted_at + wait, but the wait has run out only once "
+        "now - submitted_at >= wait, which can take one more ulp",
+    )
+    def test_wakeup_time_finds_the_task_eligible(self):
+        submitted_at, wait = 63.604126189346324, 3.0
+        sched = DelayScheduler(wait=wait)
+        queue = RunnableQueue([input_task("t0", 0, submitted_at=submitted_at)])
+        wake = sched.next_wakeup(queue, submitted_at)
+        assert wake == submitted_at + wait
+        # At the wake-up the task must be pickable off its node, or a later
+        # wake-up must be armed; today neither holds and the task strands
+        # unless some other event re-dispatches the driver.
+        eligible = queue.first_expired(wait, wake) is not None
+        assert eligible or sched.next_wakeup(queue, wake) is not None
