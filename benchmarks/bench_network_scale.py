@@ -1,7 +1,7 @@
 """Scaling bench — incremental rate engine vs full-recompute reference.
 
 Times per-event rate reallocation under flow churn at 10²–10⁵ concurrent
-flows (see :mod:`repro.experiments.netbench` for the workload model) and
+flows (see :mod:`netbench` for the workload model) and
 verifies the two allocators produce identical rate vectors.
 
 Three entry points:
@@ -24,7 +24,7 @@ import pytest
 
 from common import emit
 
-from repro.experiments.netbench import run_scale_bench, write_trajectory
+from netbench import run_scale_bench, write_trajectory
 from repro.metrics.report import format_table
 
 #: CI smoke gate: at this scale the component recompute must beat the full

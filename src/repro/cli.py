@@ -10,15 +10,13 @@ Commands
     Regenerate a paper figure's series (7, 8, 9 or 10).
 ``scenarios``
     The worked micro-examples (Fig. 1, 3, 4/5) with exact expected numbers.
-``perf``
-    Network rate-engine scaling microbenchmark; writes ``BENCH_network.json``.
 ``chaos``
     Fault-injection sweep: the same seeded fault plan replayed against
     every manager at increasing fault rates.  ``--smoke`` is the CI gate.
 ``sweep``
     General config-grid sweep (Cartesian product of ``--grid`` fields)
     with CSV/JSON output.
-Multi-cell commands (``chaos``, ``validate``, ``perf``, ``sweep``) take
+Multi-cell commands (``chaos``, ``validate``, ``sweep``) take
 ``--jobs N`` to fan their independent cells out across worker processes;
 the merged output is byte-identical to ``--jobs 1``.
 ``trace``
@@ -38,7 +36,6 @@ Examples::
     python -m repro compare --managers standalone,custody,yarn --nodes 25
     python -m repro figures --figure 7 --jobs-per-app 8
     python -m repro scenarios
-    python -m repro perf --flows 100,1000,10000 --events 30
     python -m repro chaos --levels 0,1,2 --nodes 20 --detector-timeout 15
     python -m repro chaos --smoke --jobs 4
     python -m repro sweep --grid manager=standalone,custody --grid num_nodes=25,50 --jobs 4
@@ -104,17 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="KMN fraction of inputs required (0,1]")
         p.add_argument("--speculation", action="store_true",
                        help="enable speculative execution")
-        p.add_argument("--network-engine", default="incremental",
-                       choices=["incremental", "reference"],
-                       help="flow-rate allocator (reference = full recompute)")
-        p.add_argument("--alloc-engine", default="incremental",
-                       choices=["incremental", "reference", "vectorized"],
-                       help="allocation control plane (reference = per-round "
-                            "from-scratch demand rebuild, vectorized = "
-                            "numpy demand bookkeeping)")
-        p.add_argument("--per-event-alloc", action="store_true",
-                       help="run one allocation round per job boundary instead "
-                            "of coalescing same-instant boundaries")
 
     def add_jobs_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1,
@@ -165,20 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("scenarios", help="run the worked micro-examples")
-
-    perf_p = sub.add_parser(
-        "perf", help="rate-engine scaling microbenchmark (incremental vs reference)"
-    )
-    perf_p.add_argument("--flows", default="100,1000,10000",
-                        help="comma-separated concurrent-flow counts")
-    perf_p.add_argument("--events", type=int, default=30,
-                        help="timed flow arrivals/departures per point")
-    perf_p.add_argument("--seed", type=int, default=0)
-    perf_p.add_argument("--pod-size", type=int, default=16,
-                        help="traffic-locality pod size (0 = all-to-all worst case)")
-    perf_p.add_argument("--out", metavar="PATH", default="BENCH_network.json",
-                        help="trajectory JSON output path ('' to skip)")
-    add_jobs_flag(perf_p)
 
     chaos_p = sub.add_parser(
         "chaos", help="fault-injection sweep: same fault plan, every manager"
@@ -254,12 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only this scenario (repeatable); "
                             "default: all registered scenarios")
     val_p.add_argument("--seed", type=int, default=0)
-    val_p.add_argument("--network-engine", default="incremental",
-                       choices=["incremental", "reference"],
-                       help="engine for single-variant runs (ignored by the "
-                            "smoke gate, which always runs both variants)")
-    val_p.add_argument("--alloc-engine", default="incremental",
-                       choices=["incremental", "reference", "vectorized"])
     val_p.add_argument("--out", metavar="PATH", default="VALIDATION.json",
                        help="pass/fail report artifact path ('' to skip)")
     val_p.add_argument("--list", action="store_true", dest="list_scenarios",
@@ -336,9 +302,6 @@ def _config(args: argparse.Namespace, manager: str) -> ExperimentConfig:
         kmn_fraction=args.kmn,
         speculation=args.speculation,
         timeline_enabled=getattr(args, "utilization", False),
-        network_engine=args.network_engine,
-        alloc_engine=getattr(args, "alloc_engine", "incremental"),
-        alloc_coalesce=not getattr(args, "per_event_alloc", False),
         perf_counters=getattr(args, "perf", False),
         trace=getattr(args, "trace", None) is not None,
         metrics=getattr(args, "metrics_out", None) is not None,
@@ -481,44 +444,6 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
          ["priority-based", fig45.priority_avg]],
         title="Fig. 5 — intra-application strategies (paper: 2.0 vs 1.25)",
     ))
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.experiments.netbench import run_scale_bench, write_trajectory
-
-    try:
-        flow_counts = [int(f) for f in args.flows.split(",") if f.strip()]
-    except ValueError:
-        print(f"error: --flows expects comma-separated integers, got {args.flows!r}",
-              file=sys.stderr)
-        return 2
-    if not flow_counts or any(n <= 0 for n in flow_counts):
-        print(f"error: --flows expects positive flow counts, got {args.flows!r}",
-              file=sys.stderr)
-        return 2
-    pod_size = args.pod_size if args.pod_size > 0 else None
-    if args.jobs > 1:
-        from repro.experiments.parallel import run_perf_points
-
-        points = run_perf_points(
-            flow_counts, events=args.events, seed=args.seed,
-            pod_size=pod_size, jobs=args.jobs,
-        )
-    else:
-        points = run_scale_bench(
-            flow_counts, events=args.events, seed=args.seed, pod_size=pod_size
-        )
-    print(format_table(
-        ["flows", "nodes", "reference s", "incremental s", "speedup",
-         "flows/recompute"],
-        [[p.flows, p.nodes, p.reference_seconds, p.incremental_seconds,
-          p.speedup, p.mean_component] for p in points],
-        title=f"rate-engine scaling ({args.events} churn events per point)",
-    ))
-    if args.out:
-        path = write_trajectory(points, args.out)
-        print(f"\nsaved: {path}")
     return 0
 
 
@@ -781,24 +706,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"{name:16s} {scenario.title}{suffix}")
         return 0
 
-    profile = ScenarioProfile(
-        smoke=args.smoke,
-        seed=args.seed,
-        network_engine=args.network_engine,
-        alloc_engine=args.alloc_engine,
-    )
-    # The smoke gate pins every engine stack (reference, incremental, and
-    # the incremental network under the vectorized allocator); a manual
-    # single-variant run validates exactly the engines it was given.
-    variants = (
-        [
-            ("incremental", "incremental"),
-            ("reference", "reference"),
-            ("incremental", "vectorized"),
-        ]
-        if args.smoke
-        else [(args.network_engine, args.alloc_engine)]
-    )
+    profile = ScenarioProfile(smoke=args.smoke, seed=args.seed)
+    # The smoke gate also runs the reference oracles on the engine-sensitive
+    # scenarios; a full run validates the production engines only.
+    variants = [("incremental", "incremental")]
+    if args.smoke:
+        variants.append(("reference", "reference"))
     report = run_validation_suite(
         args.scenario_names,
         profile,
@@ -1066,7 +979,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "compare": _cmd_compare,
         "figures": _cmd_figures,
         "scenarios": _cmd_scenarios,
-        "perf": _cmd_perf,
         "chaos": _cmd_chaos,
         "sweep": _cmd_sweep,
         "validate": _cmd_validate,

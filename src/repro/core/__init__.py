@@ -6,8 +6,8 @@ tested and benchmarked in isolation:
 * :mod:`repro.core.demand` — the problem instance: applications, jobs and
   input tasks with their candidate (replica-holding) executors.
 * :mod:`repro.core.intraapp` — Algorithm 2: priority (fewest-unsatisfied-
-  tasks-first) allocation inside one application; the greedy
-  2-approximation to constrained bipartite matching, plus the optimal
+  tasks-first) allocation inside one application; on fresh jobs the
+  greedy ½-approximation to constrained bipartite matching, plus the optimal
   matching via min-cost flow for comparison.
 * :mod:`repro.core.interapp` — Algorithm 1: MINLOCALITY max-min fair
   ordering across applications.

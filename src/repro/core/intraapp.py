@@ -6,9 +6,13 @@ idle, and the budget σ_i − ζ_i, choose executors that maximise the number of
 order of unsatisfied input tasks, satisfying **all** tasks of a job before
 moving on ("we apply for all the desired executors of a job before moving to
 the next job"), because partially-local jobs are still straggler-bound
-(Fig. 4/5).  This equals greedy heaviest-edge-first matching under weights
-``1/µ_ij`` and is a 2-approximation to the constrained bipartite matching
-optimum, which :func:`optimal_intra_app` computes exactly for comparison.
+(Fig. 4/5).  On fresh jobs (no input task satisfied yet, so µ_ij equals the
+unsatisfied count) this is greedy heaviest-edge-first matching under weights
+``1/µ_ij``, and it reaches at least half the Eq. 9 credit of the constrained
+bipartite matching optimum, which :func:`optimal_intra_app` computes
+exactly.  Once a job carries already-satisfied tasks its weight no longer
+follows the service order and that credit bound fails; only the job-count
+objective (Eq. 6–8) still matches the optimum there.
 """
 
 from __future__ import annotations

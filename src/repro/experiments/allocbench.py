@@ -27,7 +27,7 @@ mismatch aborts the benchmark — the speedup numbers are only reported for
 provably identical decision streams.
 
 The timed section runs with the warmed-up twin worlds *frozen* and the
-cyclic collector *quiesced* (:mod:`repro.common.gctuning`): profiling
+cyclic collector *quiesced* (:func:`_quiesced_gc`): profiling
 showed the historical 32-tenant p99 spike was CPython collections walking
 the entire live twin-world graph inside timed rounds — largely triggered
 by the reference twin's per-round rebuild garbage — not any property of
@@ -43,18 +43,19 @@ floor.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.executor import Executor
-from repro.common.gctuning import quiesced_gc
 from repro.common.units import BlockSpec
 from repro.hdfs.filesystem import HDFS
 from repro.managers.custody import CustodyManager
@@ -341,6 +342,27 @@ def _percentile(latencies: Sequence[float], q: float) -> float:
     return ordered[rank] * 1e3
 
 
+@contextmanager
+def _quiesced_gc() -> Iterator[None]:
+    """Freeze the live graph and pause automatic collections.
+
+    Refcounting still reclaims acyclic garbage immediately; cyclic garbage
+    accumulates until exit, where one explicit full collection — outside
+    any timer — cleans up.  Restores the collector's state on exit.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+        gc.unfreeze()
+        gc.collect()
+
+
 def run_alloc_bench(
     sizes: Sequence[Union[AllocWorkloadSize, Tuple[int, int, int, int]]],
     rounds: int = 200,
@@ -377,7 +399,7 @@ def run_alloc_bench(
         # object graphs inside whichever round they land in — the source
         # of the historical 32-tenant p99 spike.  The deferred cyclic
         # garbage is collected on exit, outside the timers.
-        with quiesced_gc():
+        with _quiesced_gc():
             for round_idx in range(rounds):
                 round_seed = seed * 1_000_003 + round_idx
                 _churn_round(ref, size, random.Random(round_seed), round_idx)

@@ -7,6 +7,7 @@ from typing import Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import GB, GBPS, MB
+from repro.core.allocation import ALLOCATION_ENGINES as _ALLOC_ENGINES
 
 __all__ = ["ExperimentConfig"]
 
@@ -15,7 +16,6 @@ _SCHEDULERS = ("delay", "fifo", "locality-first")
 _PLACEMENTS = ("random", "rack-aware", "popularity")
 _WORKLOADS = ("pagerank", "wordcount", "sort")
 _NETWORK_ENGINES = ("incremental", "reference")
-_ALLOC_ENGINES = ("incremental", "reference", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class ExperimentConfig:
     validate_plans: bool = False
     network_engine: str = "incremental"  # flow-rate allocator: incremental | reference
     alloc_engine: str = "incremental"  # allocation control plane: incremental | reference
-    alloc_coalesce: bool = True  # coalesce same-instant allocation rounds
     perf_counters: bool = False  # collect PerfCounters from the engine hot paths
     trace: bool = False  # attach a repro.obs Tracer (ring sink) to the run
     trace_sample_interval: float = 5.0  # sim-seconds between time-series samples
@@ -126,6 +125,14 @@ class ExperimentConfig:
             )
         if self.num_apps < 1 or self.jobs_per_app < 1:
             raise ConfigurationError("num_apps and jobs_per_app must be >= 1")
+        if self.block_size <= 0:
+            raise ConfigurationError(f"block_size must be positive, got {self.block_size}")
+        if self.pool_size is not None and self.pool_size < 1:
+            raise ConfigurationError(f"pool_size must be >= 1, got {self.pool_size}")
+        if self.mesos_offer_interval <= 0:
+            raise ConfigurationError(
+                f"mesos_offer_interval must be positive, got {self.mesos_offer_interval}"
+            )
         if self.replication < 1:
             raise ConfigurationError(f"replication must be >= 1, got {self.replication}")
         if self.replication > self.num_nodes:

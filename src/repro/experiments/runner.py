@@ -141,7 +141,6 @@ def _make_manager(
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            coalesce=config.alloc_coalesce,
             counters=perf,
             metrics=metrics,
         )
@@ -153,7 +152,6 @@ def _make_manager(
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            coalesce=config.alloc_coalesce,
             counters=perf,
             metrics=metrics,
         )
@@ -166,7 +164,6 @@ def _make_manager(
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            coalesce=config.alloc_coalesce,
             counters=perf,
             metrics=metrics,
         )
@@ -180,7 +177,6 @@ def _make_manager(
         timeline=timeline,
         tracer=tracer,
         alloc_engine=config.alloc_engine,
-        coalesce=config.alloc_coalesce,
         counters=perf,
         metrics=metrics,
     )

@@ -45,7 +45,6 @@ class ClusterManager(abc.ABC):
         weights: Optional[Dict[str, float]] = None,
         timeline: Optional[Timeline] = None,
         tracer: Optional[Tracer] = None,
-        coalesce: bool = False,
         counters=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -64,11 +63,6 @@ class ClusterManager(abc.ABC):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.drivers: Dict[str, "ApplicationDriver"] = {}
         self.allocation_rounds = 0
-        #: Round coalescing: when True, demand-changing hooks defer one
-        #: allocation round to the end of the current instant instead of
-        #: running one round per hook (library default False = the seed's
-        #: synchronous semantics; the experiment runner turns it on).
-        self.coalesce = coalesce
         #: optional :class:`repro.metrics.collector.PerfCounters`
         self.counters = counters
         #: label-aware aggregation registry (NULL_METRICS when metering is
@@ -259,14 +253,13 @@ class ClusterManager(abc.ABC):
         return self._round_pending
 
     def _schedule_round(self) -> None:
-        """Run (or coalesce) one allocation round.
+        """Coalesce allocation triggers into one round per instant.
 
-        Synchronous managers (``coalesce=False``) run the round inline —
-        grants land before the hook returns, exactly the seed behaviour.
-        With coalescing on, the first trigger at an instant defers one round
-        via :meth:`Simulation.defer`; further same-instant triggers are
-        absorbed (counted as ``alloc_rounds_coalesced``), so N job
-        boundaries cost one round.
+        The first trigger at an instant defers one round via
+        :meth:`Simulation.defer`; further same-instant triggers are absorbed
+        (counted as ``alloc_rounds_coalesced``), so N job boundaries cost
+        one round.  Grants therefore land when the instant flushes, not
+        before the triggering hook returns.
 
         Every manager (and the admission controller's re-check timer)
         routes allocation through here, so this single gate stalls the
@@ -274,9 +267,6 @@ class ClusterManager(abc.ABC):
         """
         if self.recovery is not None and not self.recovery.rounds_enabled:
             self.recovery.note_round_stalled()
-            return
-        if not self.coalesce:
-            self._run_round()
             return
         if self._round_pending:
             if self.counters is not None:

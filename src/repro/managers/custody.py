@@ -95,7 +95,6 @@ class CustodyManager(ClusterManager):
         timeline: Optional[Timeline] = None,
         tracer=None,
         alloc_engine: str = "incremental",
-        coalesce: bool = False,
         counters=None,
         metrics=None,
     ):
@@ -106,7 +105,6 @@ class CustodyManager(ClusterManager):
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            coalesce=coalesce,
             counters=counters,
             metrics=metrics,
         )
@@ -168,7 +166,7 @@ class CustodyManager(ClusterManager):
     @property
     def _incremental_enabled(self) -> bool:
         """Caches apply on every engine but the ``reference`` oracle."""
-        return self.alloc_engine in ("incremental", "vectorized")
+        return self.alloc_engine == "incremental"
 
     def _diff_pool(self, free_by_node: Dict[str, List[str]]) -> None:
         """Stamp every node whose free executor list differs from the

@@ -45,7 +45,6 @@ class MesosManager(ClusterManager):
         weights=None,
         timeline: Optional[Timeline] = None,
         tracer=None,
-        coalesce: bool = False,
         counters=None,
         metrics=None,
     ):
@@ -56,7 +55,6 @@ class MesosManager(ClusterManager):
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            coalesce=coalesce,
             counters=counters,
             metrics=metrics,
         )
@@ -142,7 +140,7 @@ class MesosManager(ClusterManager):
         self.sim.schedule(self.offer_interval, self._retry)
 
     def _retry(self) -> None:
-        # Stays synchronous even under coalescing: the re-arm decision below
+        # Runs the round inline, not coalesced: the re-arm decision below
         # must read the post-offer state.
         self._retry_armed = False
         free = self.free_pool()

@@ -50,7 +50,6 @@ class StandaloneManager(ClusterManager):
         weights=None,
         timeline: Optional[Timeline] = None,
         tracer=None,
-        coalesce: bool = False,
         counters=None,
         metrics=None,
     ):
@@ -61,7 +60,6 @@ class StandaloneManager(ClusterManager):
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            coalesce=coalesce,
             counters=counters,
             metrics=metrics,
         )

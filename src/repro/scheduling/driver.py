@@ -757,12 +757,11 @@ class ApplicationDriver:
         """Dispatch now — unless an allocation round is coalesced at this
         instant, in which case dispatch *after* it in the same flush.
 
-        With round coalescing the manager defers its round to the end of
-        the instant; dispatching immediately would launch tasks onto the
-        pre-round executor set, whereas a synchronous manager grants first
-        and dispatches second.  Deferring the dispatch behind the pending
-        round (``defer`` preserves registration order) restores that
-        ordering for single-boundary instants.
+        The manager coalesces its round to the end of the instant;
+        dispatching immediately would launch tasks onto the pre-round
+        executor set.  Deferring the dispatch behind the pending round
+        (``defer`` preserves registration order) grants first and
+        dispatches second.
         """
         manager = self.manager
         if manager is not None and manager.round_pending:

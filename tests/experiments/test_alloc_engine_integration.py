@@ -1,14 +1,9 @@
 """End-to-end equivalence of the allocation control planes.
 
-``--alloc-engine incremental`` (the default) must be a pure optimisation:
-for every manager, a full experiment run under either engine — at the same
-coalescing setting, with or without fault injection — produces identical
-metrics.  Coalescing itself is
-pinned separately: the runner's default (on) must match per-event rounds
-for the standard scenarios.
+``alloc_engine="incremental"`` (the default) must be a pure optimisation:
+for every manager, a full experiment run under either engine — with or
+without fault injection — produces identical metrics.
 """
-
-import dataclasses
 
 import pytest
 
@@ -69,14 +64,6 @@ def test_engines_produce_identical_metrics(manager):
         assert inc.manager.demand_cache_hits > 0
 
 
-def test_coalescing_default_matches_per_event_rounds():
-    """The runner's coalesced rounds decide like per-event rounds here."""
-    coalesced = run_experiment(small_config(manager="custody", alloc_coalesce=True))
-    per_event = run_experiment(small_config(manager="custody", alloc_coalesce=False))
-    assert coalesced.metrics.as_dict() == per_event.metrics.as_dict()
-    assert coalesced.sim_time == per_event.sim_time
-
-
 def test_alloc_counters_populate_under_perf_counters():
     result = run_experiment(
         small_config(manager="custody", perf_counters=True)
@@ -99,19 +86,22 @@ def test_alloc_counters_populate_under_perf_counters():
 
 
 def test_config_validates_alloc_engine():
-    with pytest.raises(Exception, match="alloc_engine"):
-        small_config(alloc_engine="bogus")
-    config = small_config(alloc_engine="reference")
-    assert dataclasses.replace(config, alloc_engine="incremental").alloc_coalesce
+    from repro.core.allocation import ALLOCATION_ENGINES
+
+    for engine in ("bogus", "vectorized"):
+        with pytest.raises(Exception, match="alloc_engine"):
+            small_config(alloc_engine=engine)
+    for engine in ALLOCATION_ENGINES:
+        assert small_config(alloc_engine=engine).alloc_engine == engine
 
 
-def test_reference_engine_reachable_from_cli_flags():
+def test_engine_flags_are_not_on_the_cli():
+    """The reference engines are test oracles, reachable only through the
+    config; the CLI runs the production engines."""
     from repro.cli import build_parser
 
     parser = build_parser()
-    args = parser.parse_args(
-        ["run", "--manager", "custody", "--alloc-engine", "reference",
-         "--per-event-alloc"]
-    )
-    assert args.alloc_engine == "reference"
-    assert args.per_event_alloc is True
+    for flag in ("--alloc-engine=reference", "--network-engine=reference",
+                 "--per-event-alloc"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--manager", "custody", flag])

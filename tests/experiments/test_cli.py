@@ -75,6 +75,13 @@ class TestInvalidInput:
             ["run", "--delay-wait", "-1"],
             ["run", "--apps", "0"],
             ["run", "--replication", "5", "--nodes", "3"],
+            *(
+                ["sweep", "--grid", cell, "--nodes", "8", "--apps", "2",
+                 "--jobs-per-app", "2"]
+                for cell in ("block_size=0", "pool_size=0", "pool_size=-1")
+            ),
+            ["sweep", "--manager", "mesos", "--grid", "mesos_offer_interval=0",
+             "--nodes", "8", "--apps", "2", "--jobs-per-app", "2"],
         ],
     )
     def test_one_line_error(self, capsys, argv):

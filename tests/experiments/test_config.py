@@ -33,6 +33,11 @@ def test_paper_defaults():
         {"delay_wait": -1.0},
         {"rack_wait": -0.5},
         {"replication": 5, "num_nodes": 3},
+        {"block_size": 0},
+        {"block_size": -1.0},
+        {"mesos_offer_interval": 0.0},
+        {"pool_size": 0},
+        {"pool_size": -1},
     ],
 )
 def test_invalid_configs(kwargs):

@@ -65,6 +65,13 @@ class ManagerHarness:
         manager.register_driver(driver)
         return driver
 
+    def flush(self):
+        """Step the current instant until no coalesced allocation round is
+        pending, so the grants its triggers asked for have landed."""
+        managers = {d.manager for d in self.drivers.values()} - {None}
+        while any(m.round_pending for m in managers) and self.sim.step():
+            pass
+
     def make_job(self, app_id, block_indices, cpu=0.5):
         self._job_seq += 1
         job_id = f"j{self._job_seq:03d}"

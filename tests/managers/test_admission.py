@@ -8,7 +8,7 @@ from repro.managers.base import ClusterManager
 
 
 class RoundCountingManager(ClusterManager):
-    """Synchronous manager whose allocation rounds just count themselves."""
+    """Manager whose allocation rounds just count themselves."""
 
     name = "counting"
 
@@ -77,6 +77,7 @@ class TestGate:
         driver = harness.add_app(manager, "a-0")
         assert manager.admission is None
         driver.submit_job(harness.make_job("a-0", range(8)))
+        harness.flush()
         assert manager.rounds == 1
 
     def test_under_threshold_admits_inline(self, harness):
@@ -84,6 +85,7 @@ class TestGate:
         manager, controller = attach(harness, factor=1.0)
         driver = harness.add_app(manager, "a-0")
         driver.submit_job(harness.make_job("a-0", range(4)))
+        harness.flush()
         assert manager.rounds == 1
         assert controller.admission_deferred == 0
         assert controller.deferred_jobs == 0
@@ -93,6 +95,7 @@ class TestGate:
         manager, controller = attach(harness, factor=0.5)
         driver = harness.add_app(manager, "a-0")
         driver.submit_job(harness.make_job("a-0", range(8)))
+        harness.flush()
         assert manager.rounds == 0  # no allocation thrash
         assert controller.admission_deferred == 1
         assert controller.deferred_jobs == 1

@@ -22,6 +22,7 @@ def test_job_submission_triggers_data_aware_grant(harness):
     driver = harness.add_app(manager, "a-0")
     job = harness.make_job("a-0", [2, 5])  # blocks pinned to workers 2 and 5
     driver.submit_job(job)
+    harness.flush()
     nodes = {e.node_id for e in driver.executors}
     assert nodes == {"worker-002", "worker-005"}
     harness.sim.run()
@@ -70,7 +71,8 @@ def test_quota_enforced(harness):
     driver = harness.add_app(manager, "a-0")
     job = harness.make_job("a-0", [0, 1, 2, 3, 4, 5])
     driver.submit_job(job)
-    assert driver.executor_count <= 4
+    harness.flush()
+    assert 0 < driver.executor_count <= 4
 
 
 def test_idle_undesired_executors_released_on_next_round(harness):
@@ -83,6 +85,7 @@ def test_idle_undesired_executors_released_on_next_round(harness):
     # New job wants totally different blocks: Custody swaps executors.
     j2 = harness.make_job("a-0", [6, 7])
     driver.submit_job(j2)
+    harness.flush()
     held_for_j2 = {e.node_id for e in driver.executors}
     assert held_for_j2 == {"worker-006", "worker-007"}
     assert held_after_j1 != held_for_j2
@@ -128,6 +131,7 @@ def test_fill_disabled_grants_only_locality(harness):
     driver = harness.add_app(manager, "a-0")
     job = harness.make_job("a-0", [0])
     driver.submit_job(job)
+    harness.flush()
     assert driver.executor_count == 1  # no filler executors
 
 
@@ -135,5 +139,6 @@ def test_custody_plan_records(harness):
     manager = make_manager(harness)
     driver = harness.add_app(manager, "a-0")
     driver.submit_job(harness.make_job("a-0", [0, 1]))
+    harness.flush()
     assert manager.last_plan is not None
     assert manager.last_plan.total_granted >= 2

@@ -92,6 +92,7 @@ def test_job_submission_dirties_only_its_app(harness):
     manager.reallocate()
     hits, misses = manager.demand_cache_hits, manager.demand_cache_misses
     d0.submit_job(harness.make_job("a-0", [2]))  # triggers one round
+    harness.flush()
     # a-0's epoch moved (rebuild); a-1 is untouched (cache hit).
     assert manager.demand_cache_misses == misses + 1
     assert manager.demand_cache_hits == hits + 1

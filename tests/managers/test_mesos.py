@@ -25,6 +25,7 @@ def test_local_offer_accepted_immediately(harness):
     manager = make_manager(harness)
     driver = harness.add_app(manager, "a-0")
     driver.submit_job(harness.make_job("a-0", [0]))
+    harness.flush()
     # The executor on worker-000 must be among those accepted.
     assert "worker-000" in {e.node_id for e in driver.executors}
 
@@ -39,6 +40,7 @@ def test_nonlocal_offers_rejected_then_accepted_after_wait(harness):
     blocker.allocate("a-zzz")
     other.attach_executor(blocker)
     driver.submit_job(job)
+    harness.flush()
     assert manager.offers_rejected > 0  # everyone declined the non-local offers
     harness.sim.run()
     assert job.finished
@@ -59,7 +61,8 @@ def test_quota_caps_acceptance(harness):
     manager = make_manager(harness, num_apps=2)  # quota 4
     driver = harness.add_app(manager, "a-0")
     driver.submit_job(harness.make_job("a-0", [0, 1, 2, 3, 4, 5]))
-    assert driver.executor_count <= 4
+    harness.flush()
+    assert 0 < driver.executor_count <= 4
 
 
 def test_offer_counters_accumulate(harness):

@@ -1,10 +1,8 @@
 """Round coalescing: N same-instant triggers cost one allocation round.
 
-``coalesce=False`` (the library default) keeps the seed's synchronous
-semantics — every demand-changing hook runs a full round inline.  With
-``coalesce=True`` (the experiment runner's default) the first trigger at an
-instant defers one round via ``Simulation.defer`` and later same-instant
-triggers are absorbed, counted in ``PerfCounters.alloc_rounds_coalesced``.
+Every manager coalesces: the first trigger at an instant defers one round
+via ``Simulation.defer`` and later same-instant triggers are absorbed,
+counted in ``PerfCounters.alloc_rounds_coalesced``.
 """
 
 from repro.managers.custody import CustodyManager
@@ -14,24 +12,10 @@ from repro.managers.yarn import YarnManager
 from repro.metrics.collector import PerfCounters
 
 
-def test_synchronous_default_runs_one_round_per_trigger(harness):
-    counters = PerfCounters()
-    manager = CustodyManager(
-        harness.sim, harness.cluster, num_apps=2, counters=counters
-    )
-    driver = harness.add_app(manager, "a-0")
-    for k in range(3):
-        driver.submit_job(harness.make_job("a-0", [k]))
-    assert counters.alloc_rounds == 3
-    assert counters.alloc_rounds_coalesced == 0
-    assert driver.executor_count == 3  # grants landed synchronously
-
-
 def test_coalesced_same_instant_submits_cost_one_round(harness):
     counters = PerfCounters()
     manager = CustodyManager(
-        harness.sim, harness.cluster, num_apps=2,
-        coalesce=True, counters=counters,
+        harness.sim, harness.cluster, num_apps=2, counters=counters
     )
     driver = harness.add_app(manager, "a-0")
     for k in range(4):
@@ -52,8 +36,7 @@ def test_coalesced_same_instant_submits_cost_one_round(harness):
 def test_coalesced_round_reruns_at_later_instants(harness):
     counters = PerfCounters()
     manager = CustodyManager(
-        harness.sim, harness.cluster, num_apps=2,
-        coalesce=True, counters=counters,
+        harness.sim, harness.cluster, num_apps=2, counters=counters
     )
     driver = harness.add_app(manager, "a-0")
     harness.sim.schedule_at(1.0, driver.submit_job, harness.make_job("a-0", [0]))
@@ -65,24 +48,23 @@ def test_coalesced_round_reruns_at_later_instants(harness):
     assert counters.alloc_rounds >= 2
 
 
-def test_all_managers_accept_the_coalescing_knob(harness):
-    """Every policy wires coalesce/counters through to the base machinery."""
+def test_all_managers_coalesce_rounds(harness):
+    """Every policy defers its round and wires counters through to the base
+    machinery."""
     import numpy as np
 
     counters = PerfCounters()
     managers = [
         CustodyManager(harness.sim, harness.cluster, num_apps=4,
-                       coalesce=True, counters=counters),
+                       counters=counters),
         StandaloneManager(harness.sim, harness.cluster, num_apps=4,
-                          rng=np.random.default_rng(0),
-                          coalesce=True, counters=counters),
+                          rng=np.random.default_rng(0), counters=counters),
         YarnManager(harness.sim, harness.cluster, num_apps=4,
-                    coalesce=True, counters=counters),
+                    counters=counters),
         MesosManager(harness.sim, harness.cluster, num_apps=4,
-                     coalesce=True, counters=counters),
+                     counters=counters),
     ]
     for manager in managers:
-        assert manager.coalesce is True
         assert manager.counters is counters
         manager.on_executors_changed()
         assert manager.round_pending  # deferred, not run inline

@@ -74,5 +74,4 @@ class TestCommand:
             for s in payload["scenarios"]
         }
         assert engines == {("incremental", "incremental"),
-                           ("reference", "reference"),
-                           ("incremental", "vectorized")}
+                           ("reference", "reference")}
