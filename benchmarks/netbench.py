@@ -29,9 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.metrics.collector import PerfCounters
 from repro.network.bandwidth import LinkCapacities, maxmin_rates
 from repro.network.rate_engine import RateEngine
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ChurnWorkload",
@@ -147,17 +147,24 @@ def _run_reference(workload: ChurnWorkload) -> Tuple[float, Dict[int, float]]:
 
 
 def _run_incremental(
-    workload: ChurnWorkload, counters: Optional[PerfCounters] = None
-) -> Tuple[float, Dict[int, float]]:
-    """Engine cost model: incremental add/remove + component recompute."""
-    engine = RateEngine(workload.capacities, counters=counters)
+    workload: ChurnWorkload,
+) -> Tuple[float, Dict[int, float], int, int]:
+    """Engine cost model: incremental add/remove + component recompute.
+
+    Returns the churn phase's wall time, the final rates, and the
+    recomputes and flows re-rated during churn, read from the engine's
+    metrics registry (warm-up values subtracted).
+    """
+    registry = MetricsRegistry()
+    engine = RateEngine(workload.capacities, metrics=registry)
+    recomputes = registry.get("net_rate_recomputes_total").labels(engine="incremental")
+    component = registry.get("net_dirty_component_flows").labels(engine="incremental")
     live_ids = []
     for fid, (src, dst) in enumerate(workload.initial):
         engine.add_flow(fid, src, dst)
         live_ids.append(fid)
     engine.recompute()  # settle the warm-up population outside the timer
-    if counters is not None:  # count the churn phase only
-        counters.recomputes = counters.flows_touched = counters.links_touched = 0
+    warm_recomputes, warm_flows = recomputes.value, component.sum
     next_id = len(live_ids)
     started = time.perf_counter()
     for op in workload.ops:
@@ -169,7 +176,12 @@ def _run_incremental(
             engine.remove_flow(live_ids.pop(op[1]))
         engine.recompute()
     elapsed = time.perf_counter() - started
-    return elapsed, engine.rates()
+    return (
+        elapsed,
+        engine.rates(),
+        int(recomputes.value - warm_recomputes),
+        int(component.sum - warm_flows),
+    )
 
 
 def run_scale_bench(
@@ -183,8 +195,9 @@ def run_scale_bench(
     for n_flows in flow_counts:
         workload = make_workload(n_flows, events, seed=seed, pod_size=pod_size)
         ref_seconds, ref_rates = _run_reference(workload)
-        counters = PerfCounters()
-        inc_seconds, inc_rates = _run_incremental(workload, counters)
+        inc_seconds, inc_rates, recomputes, flows_touched = _run_incremental(
+            workload
+        )
         if set(inc_rates) != set(ref_rates):
             raise AssertionError("allocators disagree on the live flow set")
         delta = max(
@@ -202,9 +215,9 @@ def run_scale_bench(
                 reference_seconds=ref_seconds,
                 incremental_seconds=inc_seconds,
                 speedup=ref_seconds / inc_seconds if inc_seconds > 0 else float("inf"),
-                recomputes=counters.recomputes,
-                flows_touched=counters.flows_touched,
-                mean_component=counters.flows_per_recompute,
+                recomputes=recomputes,
+                flows_touched=flows_touched,
+                mean_component=flows_touched / recomputes if recomputes else 0.0,
                 max_abs_rate_delta=delta,
             )
         )

@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(to stdout, or to PATH when given)")
     run_p.add_argument("--utilization", action="store_true",
                        help="also print a slot-utilization report")
-    run_p.add_argument("--perf", action="store_true",
-                       help="also print network hot-path perf counters")
     run_p.add_argument("--metrics", metavar="PATH", default=None,
                        dest="metrics_out",
                        help="attach the metrics registry and write its JSON "
@@ -302,7 +300,6 @@ def _config(args: argparse.Namespace, manager: str) -> ExperimentConfig:
         kmn_fraction=args.kmn,
         speculation=args.speculation,
         timeline_enabled=getattr(args, "utilization", False),
-        perf_counters=getattr(args, "perf", False),
         trace=getattr(args, "trace", None) is not None,
         metrics=getattr(args, "metrics_out", None) is not None,
     )
@@ -341,8 +338,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.speculative_launches:
         print(f"speculative clones: {result.speculative_launches} "
               f"({result.speculative_wins} won)")
-    if args.perf and result.perf is not None:
-        print(f"network perf: {result.perf.describe()}")
     if args.utilization and result.timeline is not None:
         total_slots = (
             config.num_nodes * config.executors_per_node * config.executor_slots
@@ -474,11 +469,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         managers = [m.strip() for m in args.managers.split(",") if m.strip()]
         detector_timeout = args.detector_timeout if args.detector_timeout > 0 else None
         horizon = args.horizon
-    base = replace(
-        _config(args, "custody"),
-        detector_timeout=detector_timeout,
-        perf_counters=True,
-    )
+    base = replace(_config(args, "custody"), detector_timeout=detector_timeout)
     if args.gray:
         # Gray-failure mode brings the whole robustness stack online.  The
         # short breaker cooldown lets recovered nodes earn their way back

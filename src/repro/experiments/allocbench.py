@@ -32,9 +32,9 @@ showed the historical 32-tenant p99 spike was CPython collections walking
 the entire live twin-world graph inside timed rounds — largely triggered
 by the reference twin's per-round rebuild garbage — not any property of
 the allocator itself.  The deferred collection runs on exit, outside any
-timer; per-round collection counts still surface in the
-``incremental_gc_collections`` column so a regression that reintroduces
-collector pauses into the hot path is visible.
+timer; the collections counted around each timed incremental round still
+surface in the ``incremental_gc_collections`` column so a regression that
+reintroduces collector pauses into the hot path is visible.
 
 Results serialise to ``BENCH_alloc.json`` so successive PRs can diff perf;
 ``benchmarks/bench_alloc_scale.py --smoke`` gates CI on a conservative
@@ -50,7 +50,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from repro.cluster.executor import Executor
 from repro.common.units import BlockSpec
 from repro.hdfs.filesystem import HDFS
 from repro.managers.custody import CustodyManager
-from repro.metrics.collector import PerfCounters
 from repro.simulation.engine import Simulation
 from repro.workload.application import Application
 from repro.workload.job import Job, Stage
@@ -73,8 +72,9 @@ __all__ = [
     "write_alloc_trajectory",
 ]
 
-#: v2 added the incremental round-cost breakdown and GC-collection columns.
-_FORMAT_VERSION = 2
+#: v2 added the incremental round-cost breakdown and GC-collection columns;
+#: v3 dropped the four per-phase breakdown columns again.
+_FORMAT_VERSION = 3
 
 #: Executor slots per executor in the benchmark cluster (the evaluation's 4).
 _SLOTS = 4
@@ -113,13 +113,6 @@ class AllocScalePoint:
     demand_cache_hits: int
     demand_cache_misses: int
     demand_cache_hit_rate: float
-    #: Incremental-engine round-cost breakdown (seconds summed over the
-    #: timed rounds): release surplus, build demands, run the two-level
-    #: allocator, apply grants.  The four phases partition the round.
-    incremental_release_seconds: float = 0.0
-    incremental_demand_seconds: float = 0.0
-    incremental_plan_seconds: float = 0.0
-    incremental_apply_seconds: float = 0.0
     #: Cyclic-GC collections observed inside the incremental engine's timed
     #: rounds.  With the collector quiesced this must be 0; anything else
     #: means collector pauses are landing in the hot path again.
@@ -230,9 +223,7 @@ class _World:
     job_seq: Dict[str, int] = field(default_factory=dict)
 
 
-def _build_world(
-    size: AllocWorkloadSize, seed: int, engine: str, counters: Optional[PerfCounters]
-) -> _World:
+def _build_world(size: AllocWorkloadSize, seed: int, engine: str) -> _World:
     """Construct one twin world (deterministic in ``seed``)."""
     nodes = max(4, size.apps * 2)
     sim = Simulation()
@@ -250,13 +241,7 @@ def _build_world(
         block_spec=BlockSpec(size=1.0, replication=size.replication),
         rng=np.random.default_rng(seed),
     )
-    manager = CustodyManager(
-        sim,
-        cluster,
-        num_apps=size.apps,
-        alloc_engine=engine,
-        counters=counters,
-    )
+    manager = CustodyManager(sim, cluster, num_apps=size.apps, alloc_engine=engine)
     drivers: List[_ScriptedDriver] = []
     blocks: Dict[str, list] = {}
     for i in range(size.apps):
@@ -342,6 +327,11 @@ def _percentile(latencies: Sequence[float], q: float) -> float:
     return ordered[rank] * 1e3
 
 
+def _gc_collection_count() -> int:
+    """Total cyclic-GC passes run so far, across all generations."""
+    return sum(s["collections"] for s in gc.get_stats())
+
+
 @contextmanager
 def _quiesced_gc() -> Iterator[None]:
     """Freeze the live graph and pause automatic collections.
@@ -378,22 +368,13 @@ def run_alloc_bench(
     points: List[AllocScalePoint] = []
     for raw in sizes:
         size = raw if isinstance(raw, AllocWorkloadSize) else AllocWorkloadSize(*raw)
-        counters = PerfCounters()
-        ref = _build_world(size, seed, "reference", None)
-        inc = _build_world(size, seed, "incremental", counters)
+        ref = _build_world(size, seed, "reference")
+        inc = _build_world(size, seed, "incremental")
         _warm_up(ref, size, random.Random(seed))
         _warm_up(inc, size, random.Random(seed))
-        # Snapshot the phase counters so the breakdown covers exactly the
-        # timed rounds, not the untimed warm-up allocation.
-        warm = {
-            "release": counters.alloc_release_seconds,
-            "demand": counters.alloc_demand_seconds,
-            "plan": counters.alloc_plan_seconds,
-            "apply": counters.alloc_apply_seconds,
-            "gc": counters.alloc_gc_collections,
-        }
         ref_lat: List[float] = []
         inc_lat: List[float] = []
+        inc_gc = 0
         # Quiesce the collector for the timed section: without this,
         # collections triggered by *either* twin's churn walk both full
         # object graphs inside whichever round they land in — the source
@@ -407,9 +388,11 @@ def run_alloc_bench(
                 started = time.perf_counter()
                 ref_plan = ref.manager.reallocate()
                 ref_lat.append(time.perf_counter() - started)
+                gc_before = _gc_collection_count()
                 started = time.perf_counter()
                 inc_plan = inc.manager.reallocate()
                 inc_lat.append(time.perf_counter() - started)
+                inc_gc += _gc_collection_count() - gc_before
                 if ref_plan.signature() != inc_plan.signature():
                     raise AssertionError(
                         f"engines diverged at size={size} round={round_idx}: "
@@ -417,6 +400,8 @@ def run_alloc_bench(
                     )
         ref_seconds = sum(ref_lat)
         inc_seconds = sum(inc_lat)
+        hits = inc.manager.demand_cache_hits
+        misses = inc.manager.demand_cache_misses
         points.append(
             AllocScalePoint(
                 apps=size.apps,
@@ -435,24 +420,10 @@ def run_alloc_bench(
                 incremental_p90_ms=_percentile(inc_lat, 0.90),
                 incremental_p99_ms=_percentile(inc_lat, 0.99),
                 plans_equal=True,
-                demand_cache_hits=inc.manager.demand_cache_hits,
-                demand_cache_misses=inc.manager.demand_cache_misses,
-                demand_cache_hit_rate=counters.demand_cache_hit_rate,
-                incremental_release_seconds=(
-                    counters.alloc_release_seconds - warm["release"]
-                ),
-                incremental_demand_seconds=(
-                    counters.alloc_demand_seconds - warm["demand"]
-                ),
-                incremental_plan_seconds=(
-                    counters.alloc_plan_seconds - warm["plan"]
-                ),
-                incremental_apply_seconds=(
-                    counters.alloc_apply_seconds - warm["apply"]
-                ),
-                incremental_gc_collections=(
-                    counters.alloc_gc_collections - warm["gc"]
-                ),
+                demand_cache_hits=hits,
+                demand_cache_misses=misses,
+                demand_cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+                incremental_gc_collections=inc_gc,
             )
         )
     return points
@@ -472,7 +443,7 @@ def golden_plan_stream(
     asserts both engines reproduce it signature for signature.
     """
     size = size if isinstance(size, AllocWorkloadSize) else AllocWorkloadSize(*size)
-    world = _build_world(size, seed, engine, None)
+    world = _build_world(size, seed, engine)
     _warm_up(world, size, random.Random(seed))
     stream: List[list] = []
     for round_idx in range(rounds):

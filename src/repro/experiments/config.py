@@ -67,7 +67,6 @@ class ExperimentConfig:
     validate_plans: bool = False
     network_engine: str = "incremental"  # flow-rate allocator: incremental | reference
     alloc_engine: str = "incremental"  # allocation control plane: incremental | reference
-    perf_counters: bool = False  # collect PerfCounters from the engine hot paths
     trace: bool = False  # attach a repro.obs Tracer (ring sink) to the run
     trace_sample_interval: float = 5.0  # sim-seconds between time-series samples
     metrics: bool = False  # attach a label-aware MetricsRegistry to every layer

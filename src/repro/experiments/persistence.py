@@ -10,7 +10,7 @@ per line) since they can be large.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
@@ -37,7 +37,7 @@ _READABLE_VERSIONS = (1, 2)
 def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
     """The JSON-serialisable projection of a result.
 
-    ``perf``, ``faults`` and ``metrics_snapshot`` appear only when the run
+    ``faults`` and ``metrics_snapshot`` appear only when the run
     collected them (``load_result`` reads its fixed keys and passes these
     through untouched, so their presence does not bump the format version).
     Each nested section carries its own ``format_version`` marker.
@@ -51,8 +51,6 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
         "speculative_launches": result.speculative_launches,
         "speculative_wins": result.speculative_wins,
     }
-    if result.perf is not None:
-        payload["perf"] = result.perf.as_dict()
     if result.faults is not None:
         payload["faults"] = result.faults.as_dict()
     if result.registry is not None:
@@ -67,6 +65,31 @@ def save_result(result: ExperimentResult, path: Union[str, Path]) -> Path:
     path = Path(path)
     path.write_text(json.dumps(result_to_dict(result), indent=2, sort_keys=True))
     return path
+
+
+def _config_from_dict(raw: Dict[str, Any]) -> ExperimentConfig:
+    """Rebuild a saved config, dropping the keys of retired knobs.
+
+    ``perf_counters`` was observability only, so it is dropped whatever its
+    value; ``alloc_coalesce`` only when ``true``, the one round-timing mode
+    the simulator still runs.  Any other unknown key (``alloc_coalesce:
+    false`` included) describes a run this code cannot reproduce.  JSON
+    turns the ``app_weights`` tuple into a list; it is turned back so the
+    loaded config equals (and hashes like) the saved one.
+    """
+    raw = dict(raw)
+    raw.pop("perf_counters", None)
+    if raw.get("alloc_coalesce") is True:
+        del raw["alloc_coalesce"]
+    if raw.get("app_weights") is not None:
+        raw["app_weights"] = tuple(raw["app_weights"])
+    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ConfigurationError(
+            "saved config has unknown or retired keys: "
+            + ", ".join(f"{key}={raw[key]!r}" for key in unknown)
+        )
+    return ExperimentConfig(**raw)
 
 
 def load_result(path: Union[str, Path]) -> Dict[str, Any]:
@@ -91,7 +114,7 @@ def load_result(path: Union[str, Path]) -> Dict[str, Any]:
         metrics_raw["local_job_fraction_per_app"]
     )
     return {
-        "config": ExperimentConfig(**data["config"]),
+        "config": _config_from_dict(data["config"]),
         "metrics": ExperimentMetrics(**metrics_raw),
         "sim_time": data["sim_time"],
         "allocation_rounds": data["allocation_rounds"],

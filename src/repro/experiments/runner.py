@@ -40,12 +40,7 @@ from repro.managers.mesos import MesosManager
 from repro.managers.recovery import RecoveryCoordinator
 from repro.managers.standalone import StandaloneManager
 from repro.managers.yarn import YarnManager
-from repro.metrics.collector import (
-    ExperimentMetrics,
-    FaultStats,
-    MetricsCollector,
-    PerfCounters,
-)
+from repro.metrics.collector import ExperimentMetrics, FaultStats, MetricsCollector
 from repro.network.fabric import NetworkFabric
 from repro.obs.events import DRIVER, ENGINE, NETWORK
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -84,7 +79,6 @@ class ExperimentResult:
     fault_injector: Optional[FaultInjector] = None
     speculative_launches: int = 0
     speculative_wins: int = 0
-    perf: Optional[PerfCounters] = None
     faults: Optional[FaultStats] = None
     tracer: Optional[Tracer] = None
     trace_events: Optional[list] = None
@@ -125,7 +119,6 @@ def _make_manager(
     streams: RngStreams,
     timeline: Optional[Timeline],
     tracer: Optional[Tracer] = None,
-    perf: Optional[PerfCounters] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ClusterManager:
     weights = None
@@ -141,7 +134,6 @@ def _make_manager(
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            counters=perf,
             metrics=metrics,
         )
     if config.manager == "yarn":
@@ -152,7 +144,6 @@ def _make_manager(
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            counters=perf,
             metrics=metrics,
         )
     if config.manager == "mesos":
@@ -164,7 +155,6 @@ def _make_manager(
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            counters=perf,
             metrics=metrics,
         )
     return CustodyManager(
@@ -177,7 +167,6 @@ def _make_manager(
         timeline=timeline,
         tracer=tracer,
         alloc_engine=config.alloc_engine,
-        counters=perf,
         metrics=metrics,
     )
 
@@ -266,7 +255,6 @@ def run_experiment(
     streams = RngStreams(seed=config.seed)
     sim = Simulation()
     timeline = Timeline(clock=lambda: sim.now, enabled=config.timeline_enabled)
-    perf = PerfCounters() if config.perf_counters else None
     if tracer is None and config.trace:
         tracer = Tracer(sinks=[RingSink()])
     if tracer is not None:
@@ -280,7 +268,6 @@ def run_experiment(
         sim,
         timeline=timeline if config.timeline_enabled else None,
         engine=config.network_engine,
-        counters=perf,
         tracer=tracer,
         metrics=metrics,
     )
@@ -337,7 +324,7 @@ def run_experiment(
             input_fraction=config.kmn_fraction,
         )
 
-    manager = _make_manager(config, sim, cluster, streams, timeline, tracer, perf, metrics)
+    manager = _make_manager(config, sim, cluster, streams, timeline, tracer, metrics)
     if config.admission_control:
         manager.attach_admission(
             AdmissionController(
@@ -566,7 +553,6 @@ def run_experiment(
         fault_injector=injector,
         speculative_launches=sum(d.speculative_launches for d in drivers.values()),
         speculative_wins=sum(d.speculative_wins for d in drivers.values()),
-        perf=perf,
         faults=faults,
         tracer=tracer,
         trace_events=tracer.events() if tracer is not None else None,

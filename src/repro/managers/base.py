@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import abc
 import math
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
@@ -45,7 +44,6 @@ class ClusterManager(abc.ABC):
         weights: Optional[Dict[str, float]] = None,
         timeline: Optional[Timeline] = None,
         tracer: Optional[Tracer] = None,
-        counters=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if num_apps < 1:
@@ -63,8 +61,6 @@ class ClusterManager(abc.ABC):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.drivers: Dict[str, "ApplicationDriver"] = {}
         self.allocation_rounds = 0
-        #: optional :class:`repro.metrics.collector.PerfCounters`
-        self.counters = counters
         #: label-aware aggregation registry (NULL_METRICS when metering is
         #: off).  Instruments are pre-bound here once so hot paths pay one
         #: method call, no dict lookups — and a no-op when disabled.
@@ -257,7 +253,7 @@ class ClusterManager(abc.ABC):
 
         The first trigger at an instant defers one round via
         :meth:`Simulation.defer`; further same-instant triggers are absorbed
-        (counted as ``alloc_rounds_coalesced``), so N job boundaries cost
+        (counted in ``alloc_rounds_coalesced_total``), so N job boundaries cost
         one round.  Grants therefore land when the instant flushes, not
         before the triggering hook returns.
 
@@ -269,8 +265,6 @@ class ClusterManager(abc.ABC):
             self.recovery.note_round_stalled()
             return
         if self._round_pending:
-            if self.counters is not None:
-                self.counters.alloc_rounds_coalesced += 1
             self._m_rounds_coalesced.inc()
             return
         self._round_pending = True
@@ -281,20 +275,14 @@ class ClusterManager(abc.ABC):
         self._run_round()
 
     def _run_round(self) -> None:
-        """Execute one allocation pass, timing it into the perf counters."""
+        """Execute one allocation pass and count it in ``alloc_rounds_total``."""
         if self.recovery is not None and not self.recovery.rounds_enabled:
             # Direct callers (Mesos offer retry) bypass _schedule_round;
             # the disjoint gates never double-count a stalled trigger.
             self.recovery.note_round_stalled()
             return
         self._m_rounds.inc()
-        if self.counters is None:
-            self._allocation_round()
-            return
-        start = perf_counter()
         self._allocation_round()
-        self.counters.alloc_rounds += 1
-        self.counters.alloc_seconds += perf_counter() - start
 
     def _allocation_round(self) -> None:
         """Subclass hook: the policy's allocation pass (one round)."""

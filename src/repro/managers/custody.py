@@ -41,8 +41,6 @@ Two control-plane implementations share this round structure:
 
 from __future__ import annotations
 
-import gc
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set
 
@@ -59,11 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.scheduling.driver import ApplicationDriver
 
 __all__ = ["CustodyManager"]
-
-
-def _gc_collection_count() -> int:
-    """Total cyclic-GC passes run so far, across all generations."""
-    return sum(s["collections"] for s in gc.get_stats())
 
 
 @dataclass
@@ -95,7 +88,6 @@ class CustodyManager(ClusterManager):
         timeline: Optional[Timeline] = None,
         tracer=None,
         alloc_engine: str = "incremental",
-        counters=None,
         metrics=None,
     ):
         super().__init__(
@@ -105,7 +97,6 @@ class CustodyManager(ClusterManager):
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            counters=counters,
             metrics=metrics,
         )
         _cache = self.metrics.counter(
@@ -199,40 +190,18 @@ class CustodyManager(ClusterManager):
 
     # --------------------------------------------------------------- allocation
     def reallocate(self) -> AllocationPlan:
-        """One full Custody round: release, build demands, allocate, apply.
-
-        With counters attached, each phase is timed separately and the
-        cyclic-GC passes that fire mid-round are tallied — the breakdown
-        that attributes tail latency to collector pauses rather than to
-        any allocation phase.
-        """
-        counters = self.counters
-        if counters is not None:
-            gc_before = _gc_collection_count()
-            mark = time.perf_counter()
+        """One full Custody round: release, build demands, allocate, apply."""
         self.allocation_rounds += 1
         self._release_surplus()
         # One pool scan serves both the demand builder and the idle list —
         # the seed scanned twice with identical results post-release.
         pool = self.free_pool()
-        if counters is not None:
-            now = time.perf_counter()
-            counters.alloc_release_seconds += now - mark
-            mark = now
         if self._incremental_enabled:
             demands, fill_limits = self._build_demands_incremental(pool)
         else:
             demands, fill_limits = self._build_demands(pool)
         idle = [e.executor_id for e in pool]
-        if counters is not None:
-            now = time.perf_counter()
-            counters.alloc_demand_seconds += now - mark
-            mark = now
         plan = self.allocator.allocate(demands, idle, fill_limits=fill_limits)
-        if counters is not None:
-            now = time.perf_counter()
-            counters.alloc_plan_seconds += now - mark
-            mark = now
         if self.validate:
             validate_plan(
                 plan,
@@ -292,9 +261,6 @@ class CustodyManager(ClusterManager):
                 track=f"manager:{self.name}",
             )
         self.last_plan = plan
-        if counters is not None:
-            counters.alloc_apply_seconds += time.perf_counter() - mark
-            counters.alloc_gc_collections += _gc_collection_count() - gc_before
         return plan
 
     # ----------------------------------------------------------------- releases
@@ -444,15 +410,11 @@ class CustodyManager(ClusterManager):
             ):
                 self.demand_cache_hits += 1
                 self._m_cache_hit.inc()
-                if self.counters is not None:
-                    self.counters.demand_cache_hits += 1
                 demands.append(entry.demand)
                 fill_limits[driver.app_id] = entry.fill_limit
                 continue
             self.demand_cache_misses += 1
             self._m_cache_miss.inc()
-            if self.counters is not None:
-                self.counters.demand_cache_misses += 1
             epoch = driver.demand_epoch
             owned_nodes = set(driver.owned_nodes())
             watch: Set[str] = set()

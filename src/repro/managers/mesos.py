@@ -45,7 +45,6 @@ class MesosManager(ClusterManager):
         weights=None,
         timeline: Optional[Timeline] = None,
         tracer=None,
-        counters=None,
         metrics=None,
     ):
         super().__init__(
@@ -55,7 +54,6 @@ class MesosManager(ClusterManager):
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            counters=counters,
             metrics=metrics,
         )
         if offer_interval <= 0:

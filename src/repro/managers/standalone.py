@@ -50,7 +50,6 @@ class StandaloneManager(ClusterManager):
         weights=None,
         timeline: Optional[Timeline] = None,
         tracer=None,
-        counters=None,
         metrics=None,
     ):
         super().__init__(
@@ -60,7 +59,6 @@ class StandaloneManager(ClusterManager):
             weights=weights,
             timeline=timeline,
             tracer=tracer,
-            counters=counters,
             metrics=metrics,
         )
         self.rng = rng if rng is not None else np.random.default_rng(0)

@@ -10,7 +10,7 @@ objects (and optionally the timeline):
 * plus local-*job* fraction (the max-min objective) and fairness indices.
 """
 
-from repro.metrics.collector import ExperimentMetrics, MetricsCollector, PerfCounters
+from repro.metrics.collector import ExperimentMetrics, MetricsCollector
 from repro.metrics.locality import (
     local_job_fraction,
     locality_gain,
@@ -28,7 +28,6 @@ from repro.metrics.utilization import UtilizationReport, analyze_utilization
 __all__ = [
     "ExperimentMetrics",
     "MetricsCollector",
-    "PerfCounters",
     "UtilizationReport",
     "analyze_utilization",
     "average_completion_time",

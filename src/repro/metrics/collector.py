@@ -1,10 +1,4 @@
-"""ExperimentMetrics: one summary object per experiment run.
-
-Also home to :class:`PerfCounters`, the opt-in simulator performance
-counters (event/recompute/flows-touched tallies plus wall-clock timings)
-that the network fabric and rate engine fill in when handed an instance —
-the raw material for perf-regression tracking across PRs.
-"""
+"""ExperimentMetrics: one summary object per experiment run."""
 
 from __future__ import annotations
 
@@ -28,98 +22,7 @@ from repro.metrics.timings import (
 from repro.workload.application import Application
 from repro.workload.job import Job
 
-__all__ = ["ExperimentMetrics", "FaultStats", "MetricsCollector", "PerfCounters"]
-
-
-@dataclass
-class PerfCounters:
-    """Opt-in hot-path counters for the simulator's two engine hot paths:
-    the network rate machinery and the allocation control plane.
-
-    Pass an instance to :class:`~repro.network.fabric.NetworkFabric` and the
-    managers (or set ``ExperimentConfig.perf_counters=True``) and read it
-    after the run.  Everything defaults to zero so the object doubles as a
-    cheap accumulator across several runs.
-    """
-
-    flow_events: int = 0  #: transfer starts + cancels + completions observed
-    reallocations: int = 0  #: batched end-of-instant rate flushes
-    recomputes: int = 0  #: water-filling passes actually executed
-    flows_touched: int = 0  #: flows re-rated across all recomputes
-    links_touched: int = 0  #: links visited across all recomputes
-    rate_updates: int = 0  #: transfer.set_rate calls applied (rate changed)
-    recompute_seconds: float = 0.0  #: wall time inside water-filling
-    realloc_seconds: float = 0.0  #: wall time inside the full flush path
-    alloc_rounds: int = 0  #: manager allocation rounds executed
-    alloc_rounds_coalesced: int = 0  #: same-instant round triggers absorbed
-    demand_cache_hits: int = 0  #: AppDemands reused from the incremental index
-    demand_cache_misses: int = 0  #: AppDemands rebuilt from live state
-    alloc_seconds: float = 0.0  #: wall time inside allocation rounds
-    # Round-cost breakdown: where a Custody reallocate() round spends its
-    # time, plus the cyclic-GC passes that fired inside rounds — the
-    # diagnostic that pinned the 32-tenant p99 tail on full collections
-    # rather than on any allocation phase.
-    alloc_release_seconds: float = 0.0  #: surplus release + idle-pool scan
-    alloc_demand_seconds: float = 0.0  #: demand build (incl. cache lookups)
-    alloc_plan_seconds: float = 0.0  #: two-level plan computation
-    alloc_apply_seconds: float = 0.0  #: grant application + hint forwarding
-    alloc_gc_collections: int = 0  #: cyclic-GC passes observed inside rounds
-
-    @property
-    def flows_per_recompute(self) -> float:
-        """Mean affected-component size — the incrementality health metric."""
-        return self.flows_touched / self.recomputes if self.recomputes else 0.0
-
-    @property
-    def demand_cache_hit_rate(self) -> float:
-        """Fraction of per-round demands served from the cache."""
-        total = self.demand_cache_hits + self.demand_cache_misses
-        return self.demand_cache_hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready projection (derived means included)."""
-        return {
-            "format_version": 1,
-            "flow_events": self.flow_events,
-            "reallocations": self.reallocations,
-            "recomputes": self.recomputes,
-            "flows_touched": self.flows_touched,
-            "links_touched": self.links_touched,
-            "rate_updates": self.rate_updates,
-            "recompute_seconds": self.recompute_seconds,
-            "realloc_seconds": self.realloc_seconds,
-            "flows_per_recompute": self.flows_per_recompute,
-            "alloc_rounds": self.alloc_rounds,
-            "alloc_rounds_coalesced": self.alloc_rounds_coalesced,
-            "demand_cache_hits": self.demand_cache_hits,
-            "demand_cache_misses": self.demand_cache_misses,
-            "demand_cache_hit_rate": self.demand_cache_hit_rate,
-            "alloc_seconds": self.alloc_seconds,
-            "alloc_release_seconds": self.alloc_release_seconds,
-            "alloc_demand_seconds": self.alloc_demand_seconds,
-            "alloc_plan_seconds": self.alloc_plan_seconds,
-            "alloc_apply_seconds": self.alloc_apply_seconds,
-            "alloc_gc_collections": self.alloc_gc_collections,
-        }
-
-    def describe(self) -> str:
-        """One-line human summary for CLI output."""
-        return (
-            f"flow events: {self.flow_events}   reallocations: {self.reallocations}   "
-            f"recomputes: {self.recomputes}   flows/recompute: "
-            f"{self.flows_per_recompute:.1f}   links touched: {self.links_touched}   "
-            f"rate updates: {self.rate_updates}   "
-            f"recompute wall: {self.recompute_seconds:.3f}s   "
-            f"realloc wall: {self.realloc_seconds:.3f}s   "
-            f"alloc rounds: {self.alloc_rounds} "
-            f"(+{self.alloc_rounds_coalesced} coalesced)   "
-            f"demand cache: {self.demand_cache_hit_rate:.0%} hit   "
-            f"alloc wall: {self.alloc_seconds:.3f}s "
-            f"(release {self.alloc_release_seconds:.3f}s / demand "
-            f"{self.alloc_demand_seconds:.3f}s / plan {self.alloc_plan_seconds:.3f}s "
-            f"/ apply {self.alloc_apply_seconds:.3f}s)   "
-            f"gc in rounds: {self.alloc_gc_collections}"
-        )
+__all__ = ["ExperimentMetrics", "FaultStats", "MetricsCollector"]
 
 
 @dataclass

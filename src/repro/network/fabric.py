@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, TransferFailedError
@@ -70,8 +69,6 @@ class NetworkFabric:
     engine:
         ``"incremental"`` (default) or ``"reference"`` — see module
         docstring.
-    counters:
-        Optional :class:`~repro.metrics.collector.PerfCounters` accumulator.
     """
 
     def __init__(
@@ -79,7 +76,6 @@ class NetworkFabric:
         sim: Simulation,
         timeline: Optional[Timeline] = None,
         engine: str = "incremental",
-        counters: Optional[object] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -89,7 +85,6 @@ class NetworkFabric:
             )
         self.sim = sim
         self.timeline = timeline
-        self.counters = counters
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         _events = self.metrics.counter(
@@ -128,12 +123,7 @@ class NetworkFabric:
         self.capacities = LinkCapacities()
         self.engine_mode = engine
         self._engine: Optional[RateEngine] = (
-            RateEngine(
-                self.capacities,
-                counters=counters,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
+            RateEngine(self.capacities, tracer=self.tracer, metrics=self.metrics)
             if engine == "incremental"
             else None
         )
@@ -265,8 +255,6 @@ class NetworkFabric:
                 "net.stall", "network", track=src, lane=f"nic:{src}", dst=dst
             )
             self._m_xfer_stall.inc()
-            if self.counters is not None:
-                self.counters.flow_events += 1
             return transfer
         if self._engine is not None:
             self._engine.add_flow(transfer.transfer_id, src, dst)
@@ -284,8 +272,6 @@ class NetworkFabric:
             self.timeline.record(
                 "transfer.start", transfer.transfer_id, src=src, dst=dst, size=size
             )
-        if self.counters is not None:
-            self.counters.flow_events += 1
         self.sim.defer(self, self._flush)
         return transfer
 
@@ -299,8 +285,6 @@ class NetworkFabric:
             self._m_xfer_cancel.inc()
             if self.timeline is not None:
                 self.timeline.record("transfer.cancel", transfer.transfer_id)
-            if self.counters is not None:
-                self.counters.flow_events += 1
             self.sim.defer(self, self._flush)
         elif transfer.transfer_id in self._stalled:
             _, handle = self._stalled.pop(transfer.transfer_id)
@@ -308,8 +292,6 @@ class NetworkFabric:
             self._m_xfer_cancel.inc()
             if self.timeline is not None:
                 self.timeline.record("transfer.cancel", transfer.transfer_id)
-            if self.counters is not None:
-                self.counters.flow_events += 1
 
     # ----------------------------------------------------------------- faults
     def _on_connect_timeout(self, transfer: Transfer) -> None:
@@ -323,8 +305,6 @@ class NetworkFabric:
         self._m_xfer_fail.inc()
         if self.timeline is not None:
             self.timeline.record("transfer.fail", transfer.transfer_id, cause=cause)
-        if self.counters is not None:
-            self.counters.flow_events += 1
         self._trace_transfer(transfer, cause)
         transfer.done.fail(TransferFailedError(transfer.transfer_id, cause))
 
@@ -395,8 +375,6 @@ class NetworkFabric:
                 dst=transfer.dst,
             )
             self._m_xfer_unstall.inc()
-            if self.counters is not None:
-                self.counters.flow_events += 1
         if released:
             self.sim.defer(self, self._flush)
 
@@ -408,8 +386,6 @@ class NetworkFabric:
     def _flush(self) -> None:
         """Recompute fair rates for the changed flows and re-arm completion."""
         now = self.sim.now
-        counters = self.counters
-        started = time.perf_counter() if counters is not None else 0.0
         if self._engine is not None:
             changed = self._engine.recompute().items()
         else:
@@ -442,14 +418,9 @@ class NetworkFabric:
                 heapq.heappush(
                     self._eta_heap, (now + eta, self._heap_seq, token, transfer)
                 )
-            if counters is not None:
-                counters.rate_updates += 1
         if len(self._eta_heap) > 64 and len(self._eta_heap) > 4 * len(self._active):
             self._compact_heap()
         self._arm_completion(now)
-        if counters is not None:
-            counters.reallocations += 1
-            counters.realloc_seconds += time.perf_counter() - started
         # Virtual-time facts only (never the wall clock) keep traces
         # deterministic across machines.
         if applied and self.tracer.enabled:
@@ -519,8 +490,6 @@ class NetworkFabric:
             lifetime = now - transfer.started_at
             if lifetime > 0:
                 self._m_rate_hist.observe(transfer.size / lifetime)
-            if self.counters is not None:
-                self.counters.flow_events += 1
             if self.timeline is not None:
                 self.timeline.record(
                     "transfer.finish",

@@ -28,7 +28,6 @@ checks this after random operation sequences.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -49,15 +48,14 @@ class RateEngine:
     capacities:
         The shared per-node NIC capacities (nodes may be registered after
         construction; each flow validates its endpoints on ``add_flow``).
-    counters:
-        Optional perf-counter sink (duck-typed, see
-        :class:`repro.metrics.collector.PerfCounters`); when given, every
-        recompute accounts its component size and wall time there.
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`; when tracing is enabled
         each non-trivial recompute emits a ``net.recompute`` instant with
-        the affected subgraph's size (virtual-time facts only — the wall
-        time measured for ``counters`` never enters the trace).
+        the affected subgraph's size (virtual-time facts only).
+    metrics:
+        Optional :class:`repro.obs.metrics.MetricsRegistry`; each recompute
+        that re-rates at least one flow bumps ``net_rate_recomputes_total``
+        and observes its size in ``net_dirty_component_flows``.
 
     Flows are identified by caller-chosen hashable ids.  Loopback flows
     (``src == dst``) follow the reference contract: validated, rated
@@ -67,12 +65,10 @@ class RateEngine:
     def __init__(
         self,
         capacities: LinkCapacities,
-        counters: Optional[object] = None,
         tracer: Optional[object] = None,
         metrics: Optional[object] = None,
     ):
         self.capacities = capacities
-        self.counters = counters
         self.tracer = tracer
         if metrics is None:
             metrics = NULL_METRICS
@@ -205,8 +201,6 @@ class RateEngine:
         self._fresh_loopbacks.clear()
         if not self._dirty:
             return changed
-        started = time.perf_counter() if self.counters is not None else 0.0
-
         affected = self._affected_flows()
         self._dirty.clear()
         if affected:
@@ -218,10 +212,6 @@ class RateEngine:
                 changed[fid] = rate
             self._m_recomputes.inc()
             self._m_component.observe(len(affected))
-        if self.counters is not None:
-            self.counters.recomputes += 1
-            self.counters.flows_touched += len(affected)
-            self.counters.recompute_seconds += time.perf_counter() - started
         if affected and self.tracer is not None and self.tracer.enabled:
             self.tracer.instant(
                 "net.recompute",
@@ -257,6 +247,4 @@ class RateEngine:
                     if other not in seen_links and other in link_flows:
                         seen_links.add(other)
                         stack.append(other)
-        if self.counters is not None:
-            self.counters.links_touched += len(seen_links)
         return seen_flows

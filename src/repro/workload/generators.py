@@ -144,6 +144,8 @@ class JobFactory:
         pool_size: Optional[int] = None,
         popularity_skew: float = 1.2,
     ):
+        if pool_size is not None and pool_size < 1:
+            raise ConfigurationError(f"pool_size must be >= 1, got {pool_size}")
         self.hdfs = hdfs
         self.rng = rng
         self.pool_size = pool_size

@@ -65,24 +65,24 @@ def test_engines_produce_identical_metrics(manager):
 
 
 def test_alloc_counters_populate_under_perf_counters():
-    result = run_experiment(
-        small_config(manager="custody", perf_counters=True)
-    )
-    assert result.perf is not None
-    assert result.perf.alloc_rounds > 0
-    assert result.perf.alloc_seconds > 0.0
+    """The registry carries every allocation count a run produces."""
+    result = run_experiment(small_config(manager="custody", metrics=True))
+    registry = result.registry
+    assert registry is not None
+    rounds = registry.get("alloc_rounds_total").labels(manager="custody")
+    assert rounds.value == result.allocation_rounds > 0
     # The default engine serves demands from the cache at least sometimes.
-    assert result.perf.demand_cache_hits > 0
-    payload = result.perf.as_dict()
-    for key in (
-        "alloc_rounds",
-        "alloc_rounds_coalesced",
-        "demand_cache_hits",
-        "demand_cache_misses",
-        "demand_cache_hit_rate",
-        "alloc_seconds",
-    ):
-        assert key in payload
+    cache = registry.get("demand_cache_requests_total")
+    hits = cache.labels(manager="custody", result="hit").value
+    misses = cache.labels(manager="custody", result="miss").value
+    assert hits == result.manager.demand_cache_hits > 0
+    assert misses == result.manager.demand_cache_misses
+    snapshot = {m["name"] for m in registry.snapshot()["metrics"]}
+    assert {
+        "alloc_rounds_total",
+        "alloc_rounds_coalesced_total",
+        "demand_cache_requests_total",
+    } <= snapshot
 
 
 def test_config_validates_alloc_engine():
@@ -102,6 +102,6 @@ def test_engine_flags_are_not_on_the_cli():
 
     parser = build_parser()
     for flag in ("--alloc-engine=reference", "--network-engine=reference",
-                 "--per-event-alloc"):
+                 "--per-event-alloc", "--perf"):
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--manager", "custody", flag])

@@ -40,6 +40,17 @@ def test_round_trip(result, tmp_path):
     assert loaded["allocation_rounds"] == result.allocation_rounds
 
 
+def test_round_trip_keeps_app_weights_a_tuple(tmp_path):
+    config = ExperimentConfig(
+        manager="custody", num_nodes=8, num_apps=2, jobs_per_app=1, seed=1,
+        app_weights=(1.0, 2.0),
+    )
+    path = save_result(run_experiment(config), tmp_path / "weighted.json")
+    loaded = load_result(path)["config"]
+    assert loaded == config
+    assert hash(loaded) == hash(config)
+
+
 def test_version_check(result, tmp_path):
     path = save_result(result, tmp_path / "result.json")
     data = json.loads(path.read_text())
@@ -91,6 +102,39 @@ class TestBackwardCompat:
             ConfigurationError,
             match=f"unsupported result format version {version!r}",
         ):
+            load_result(path)
+
+    def _with_config_keys(self, result, tmp_path, **extra):
+        path = save_result(result, tmp_path / "result.json")
+        data = json.loads(path.read_text())
+        data["config"].update(extra)
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {"perf_counters": True},
+            {"perf_counters": False},
+            {"alloc_coalesce": True},
+            {"perf_counters": True, "alloc_coalesce": True},
+        ],
+    )
+    def test_retired_config_keys_are_dropped(self, result, tmp_path, retired):
+        """Results saved while these knobs existed still load."""
+        path = self._with_config_keys(result, tmp_path, **retired)
+        loaded = load_result(path)
+        assert loaded["config"] == result.config
+        assert loaded["metrics"] == result.metrics
+
+    @pytest.mark.parametrize(
+        "key, value", [("alloc_coalesce", False), ("warp_drive", 1)]
+    )
+    def test_unknown_config_key_names_itself(self, result, tmp_path, key, value):
+        """A key the current code cannot honour is one clear error, not a
+        constructor TypeError."""
+        path = self._with_config_keys(result, tmp_path, **{key: value})
+        with pytest.raises(ConfigurationError, match=key):
             load_result(path)
 
     def test_error_lists_readable_versions(self, result, tmp_path):

@@ -10,7 +10,7 @@ pytestmark = pytest.mark.faults
 
 BASE = dict(
     manager="custody", workload="sort", num_nodes=12, num_apps=2,
-    jobs_per_app=3, seed=6, timeline_enabled=True, perf_counters=True,
+    jobs_per_app=3, seed=6, timeline_enabled=True, metrics=True,
 )
 
 
@@ -18,6 +18,12 @@ def run_with(plan, **overrides):
     return run_experiment(
         ExperimentConfig(**{**BASE, **overrides}), fault_plan=plan
     )
+
+
+def flow_events(result):
+    """Transfer lifecycle events of every kind, from the run's registry."""
+    family = result.registry.get("net_transfers_total")
+    return sum(s["value"] for s in family.series())
 
 
 class TestNodeFailure:
@@ -43,14 +49,11 @@ class TestNodeFailure:
         plan = FaultPlan(
             [NodeFailure(at=5.0, node_id="worker-000", restart_delay=40.0)]
         )
-        baseline = run_with(None)
+        baseline = flow_events(run_with(None))
         faulted = run_with(plan)
         # Recovery copies are extra flow events through the shared fabric.
-        assert faulted.perf.flow_events > baseline.perf.flow_events
-        assert (
-            faulted.perf.flow_events
-            >= baseline.perf.flow_events + faulted.faults.recovery_flows
-        )
+        assert flow_events(faulted) > baseline
+        assert flow_events(faulted) >= baseline + faulted.faults.recovery_flows
 
     def test_double_failure_of_same_node_is_idempotent(self):
         plan = FaultPlan(

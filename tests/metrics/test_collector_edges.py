@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hdfs.blocks import Block
-from repro.metrics.collector import MetricsCollector, PerfCounters
+from repro.metrics.collector import MetricsCollector
 from repro.workload.application import Application
 from repro.workload.job import Job, Stage
 from repro.workload.task import Task, TaskKind
@@ -79,13 +79,3 @@ def test_metrics_as_dict_round_trips_to_json_types():
     assert d["min_local_job_fraction"] == d["local_job_fraction_per_app"][0]
     assert isinstance(d["per_workload_jct"], dict)
 
-
-def test_perf_counters_describe_mentions_every_counter():
-    perf = PerfCounters(flow_events=3, reallocations=2, recomputes=1,
-                        flows_touched=4, links_touched=9, rate_updates=5,
-                        recompute_seconds=0.25, realloc_seconds=0.5)
-    text = perf.describe()
-    assert "links touched: 9" in text
-    assert "realloc wall: 0.500s" in text
-    assert "recompute wall: 0.250s" in text
-    assert "rate updates: 5" in text

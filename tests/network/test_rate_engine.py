@@ -3,9 +3,9 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.metrics.collector import PerfCounters
 from repro.network.bandwidth import LinkCapacities, maxmin_rates
 from repro.network.rate_engine import RateEngine
+from repro.obs.metrics import MetricsRegistry
 
 
 def caps(**nodes):
@@ -13,6 +13,14 @@ def caps(**nodes):
     for node, (up, down) in nodes.items():
         c.add_node(node, up, down)
     return c
+
+
+def recomputes(registry):
+    return registry.get("net_rate_recomputes_total").labels(engine="incremental").value
+
+
+def flows_touched(registry):
+    return registry.get("net_dirty_component_flows").labels(engine="incremental").sum
 
 
 def assert_matches_reference(engine):
@@ -38,16 +46,16 @@ class TestIncrementalEquality:
         assert_matches_reference(engine)
 
     def test_batched_changes_one_recompute(self):
-        counters = PerfCounters()
+        registry = MetricsRegistry()
         engine = RateEngine(
             caps(a=(10, 10), b=(10, 10), c=(10, 10), d=(10, 10)),
-            counters=counters,
+            metrics=registry,
         )
         engine.add_flow(1, "a", "b")
         engine.add_flow(2, "c", "d")
         engine.add_flow(3, "a", "d")
         engine.recompute()
-        assert counters.recomputes == 1
+        assert recomputes(registry) == 1
         assert_matches_reference(engine)
 
     def test_waterfilling_matches_reference_bitwise(self):
@@ -64,10 +72,10 @@ class TestIncrementalEquality:
 
 class TestComponentLocality:
     def test_disjoint_component_untouched(self):
-        counters = PerfCounters()
+        registry = MetricsRegistry()
         engine = RateEngine(
             caps(a=(10, 10), b=(10, 10), x=(7, 7), y=(7, 7)),
-            counters=counters,
+            metrics=registry,
         )
         engine.add_flow("left", "a", "b")
         engine.recompute()
@@ -75,7 +83,7 @@ class TestComponentLocality:
         engine.add_flow("right", "x", "y")
         changed = engine.recompute()
         assert set(changed) == {"right"}
-        assert counters.flows_touched == 2  # 1 (first) + 1 (second)
+        assert flows_touched(registry) == 2  # 1 (first) + 1 (second)
         assert_matches_reference(engine)
 
     def test_shared_link_component_recomputed_together(self):
@@ -136,13 +144,13 @@ class TestLoopback:
         assert_matches_reference(engine)
 
     def test_loopback_removal_is_silent(self):
-        counters = PerfCounters()
-        engine = RateEngine(caps(a=(1, 1)), counters=counters)
+        registry = MetricsRegistry()
+        engine = RateEngine(caps(a=(1, 1)), metrics=registry)
         engine.add_flow("loop", "a", "a")
         engine.recompute()
         engine.remove_flow("loop")
         assert engine.recompute() == {}
-        assert counters.recomputes == 0  # loopbacks never trigger water-filling
+        assert recomputes(registry) == 0  # loopbacks never trigger water-filling
         assert engine.rates() == {}
 
 

@@ -65,13 +65,6 @@ class TestRunFlags:
         assert payload["config"]["manager"] == "custody"
         assert payload["metrics"]["finished_jobs"] > 0
 
-    def test_run_json_to_file_includes_perf(self, tmp_path, capsys):
-        path = tmp_path / "result.json"
-        assert main(["run", *FAST, "--perf", "--json", str(path)]) == 0
-        payload = json.loads(path.read_text())
-        assert "recomputes" in payload["perf"]
-        assert "links_touched" in payload["perf"]
-
     def test_compare_json_has_one_payload_per_manager(self, tmp_path, capsys):
         path = tmp_path / "cmp.json"
         assert main(["compare", *FAST, "--managers", "standalone,custody",

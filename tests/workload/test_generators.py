@@ -64,6 +64,11 @@ class TestJobFactory:
     def factory(self, small_hdfs):
         return JobFactory(small_hdfs, np.random.default_rng(3), pool_size=4)
 
+    @pytest.mark.parametrize("pool_size", [0, -1])
+    def test_non_positive_pool_size_rejected(self, small_hdfs, pool_size):
+        with pytest.raises(ConfigurationError, match="pool_size"):
+            JobFactory(small_hdfs, np.random.default_rng(3), pool_size=pool_size)
+
     def test_job_structure(self, factory):
         profile = WorkloadProfile(
             name="mini", input_size_min=30 * 2**20, input_size_max=30 * 2**20,
