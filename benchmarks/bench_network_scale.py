@@ -10,8 +10,8 @@ Three entry points:
   runs the 10²–10⁴ trajectory and asserts the acceptance floor (≥5× at 10⁴
   concurrent flows);
 * ``python benchmarks/bench_network_scale.py --smoke`` — the CI perf gate:
-  a small fixed point with a conservative speedup floor, exits non-zero on
-  regression;
+  three small fixed points (pod-structured, all-to-all, equal-capacity)
+  with conservative speedup floors, exits non-zero on regression;
 * ``python benchmarks/bench_network_scale.py [--full]`` — the printable
   trajectory (``--full`` extends to 10⁵ flows), written to
   ``BENCH_network.json``.
@@ -27,12 +27,31 @@ from common import emit
 from netbench import run_scale_bench, write_trajectory
 from repro.metrics.report import format_table
 
-#: CI smoke gate: at this scale the component recompute must beat the full
-#: recompute by at least this factor.  The measured margin is >15x, so the
-#: floor only trips on a genuine algorithmic regression, not scheduler noise.
+#: CI smoke gate: at each point the incremental engine must beat the full
+#: recompute by at least ``min_speedup``; every point also passes the
+#: bitwise rate-equality check of :func:`netbench.run_scale_bench`.
+#:
+#: * ``pod`` — pod-structured traffic (pod size 16), the shape of real runs.
+#:   Measured ~50x with component recompute alone and ~900x with the fast
+#:   path; the floor only trips on a genuine algorithmic regression, not
+#:   scheduler noise.
+#: * ``all-to-all`` — one giant component, the worst case of component
+#:   recompute (~1-4x).  The uplink-bound fast path re-rates one uplink's
+#:   flows per event instead: measured ~850x, floored at 25x.
+#: * ``equal-capacity`` — pods with downlinks as slow as uplinks, so
+#:   downlinks bind and every recompute takes the component fallback
+#:   (~130 flows re-solved per event, measured 50-85x).  The point must
+#:   re-solve at least ``min_component`` flows per recompute on average,
+#:   or it no longer exercises the fallback.
 SMOKE_FLOWS = 2000
 SMOKE_EVENTS = 15
-SMOKE_MIN_SPEEDUP = 2.0
+SMOKE_POINTS = (
+    dict(label="pod", pod_size=16, downlink=40e9, min_speedup=2.0, min_component=0),
+    dict(label="all-to-all", pod_size=None, downlink=40e9, min_speedup=25.0,
+         min_component=0),
+    dict(label="equal-capacity", pod_size=16, downlink=2e9, min_speedup=2.0,
+         min_component=50),
+)
 
 #: Acceptance floor from the issue: >=5x at 10^4 concurrent flows.
 ACCEPTANCE_FLOWS = 10_000
@@ -65,18 +84,31 @@ def test_bench_network_scale():
 
 
 def smoke() -> int:
-    """CI perf gate: one modest point, conservative floor, loud verdict."""
-    points = run_scale_bench([SMOKE_FLOWS], events=SMOKE_EVENTS)
-    point = points[0]
-    print(
-        f"smoke: {point.flows} flows, {point.events} events — "
-        f"reference {point.reference_seconds:.3f}s, "
-        f"incremental {point.incremental_seconds:.3f}s, "
-        f"speedup {point.speedup:.1f}x "
-        f"(gate {SMOKE_MIN_SPEEDUP}x), max rate delta {point.max_abs_rate_delta:g}"
-    )
-    if point.speedup < SMOKE_MIN_SPEEDUP:
-        print("PERF REGRESSION: incremental engine lost its edge", file=sys.stderr)
+    """CI perf gate: a few modest points, conservative floors, loud verdicts."""
+    failed = 0
+    for gate in SMOKE_POINTS:
+        (point,) = run_scale_bench(
+            [SMOKE_FLOWS], events=SMOKE_EVENTS, pod_size=gate["pod_size"],
+            downlink=gate["downlink"],
+        )
+        print(
+            f"smoke {gate['label']}: {point.flows} flows, {point.events} events — "
+            f"reference {point.reference_seconds:.3f}s, "
+            f"incremental {point.incremental_seconds:.4f}s, "
+            f"speedup {point.speedup:.1f}x (gate {gate['min_speedup']}x), "
+            f"flows/recompute {point.mean_component:.1f}, "
+            f"max rate delta {point.max_abs_rate_delta:g}"
+        )
+        if point.speedup < gate["min_speedup"]:
+            print(f"PERF REGRESSION ({gate['label']}): incremental engine lost "
+                  "its edge", file=sys.stderr)
+            failed += 1
+        if point.mean_component < gate["min_component"]:
+            print(f"GATE DRIFT ({gate['label']}): only {point.mean_component:.1f} "
+                  f"flows/recompute, so the component fallback no longer runs",
+                  file=sys.stderr)
+            failed += 1
+    if failed:
         return 1
     print("smoke ok")
     return 0

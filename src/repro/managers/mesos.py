@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.executor import Executor
+from repro.common.errors import ConfigurationError
 from repro.managers.base import ClusterManager
 from repro.simulation.engine import Simulation
 from repro.simulation.timeline import Timeline
@@ -57,7 +58,7 @@ class MesosManager(ClusterManager):
             metrics=metrics,
         )
         if offer_interval <= 0:
-            raise ValueError(f"offer_interval must be positive, got {offer_interval}")
+            raise ConfigurationError(f"offer_interval must be positive, got {offer_interval}")
         self.offer_interval = offer_interval
         self._offer_rotation = 0
         self._retry_armed = False

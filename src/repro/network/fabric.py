@@ -111,12 +111,12 @@ class NetworkFabric:
         # RateEngine binds (and fills) the engine="incremental" series.
         self._m_recomputes = self.metrics.counter(
             "net_rate_recomputes_total",
-            "Water-filling passes executed, by allocator engine.",
+            "Rate recomputes that re-rated flows, by allocator engine.",
             ("engine",),
         ).labels(engine=engine)
         self._m_component = self.metrics.histogram(
             "net_dirty_component_flows",
-            "Flows re-rated per recompute (dirty-component size).",
+            "Flows re-rated per recompute.",
             ("engine",),
             buckets=SIZE_BUCKETS,
         ).labels(engine=engine)

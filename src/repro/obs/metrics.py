@@ -65,7 +65,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
 )
 
-#: Power-of-two-ish count buckets — dirty-component sizes, queue depths.
+#: Power-of-two-ish count buckets — flows re-rated per recompute, queue depths.
 SIZE_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0,
 )

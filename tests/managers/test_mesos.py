@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.managers.mesos import MesosManager
 
 
@@ -17,7 +18,7 @@ def test_invalid_offer_interval():
     from tests.managers.conftest import ManagerHarness
 
     h = ManagerHarness()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         MesosManager(h.sim, h.cluster, num_apps=2, offer_interval=0.0)
 
 

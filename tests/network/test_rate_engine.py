@@ -128,6 +128,99 @@ class TestComponentLocality:
         assert_matches_reference(engine)
 
 
+class TestUplinkCertificate:
+    """The fast path re-rates dirty uplinks only while the engine is
+    certified: every flow at its uplink's equal share, every downlink
+    strictly inside its capacity's headroom."""
+
+    def test_uplink_bound_change_rerates_one_uplink(self):
+        registry = MetricsRegistry()
+        engine = RateEngine(
+            caps(a=(1, 20), b=(1, 20), c=(1, 20), d=(1, 20)), metrics=registry
+        )
+        engine.add_flow(1, "a", "c")
+        engine.add_flow(2, "b", "c")
+        engine.add_flow(3, "b", "d")
+        engine.recompute()
+        # One giant component, but only up:a's count changed.
+        engine.add_flow(4, "a", "d")
+        assert engine.recompute() == {1: 0.5, 4: 0.5}
+        assert flows_touched(registry) == 3 + 2
+        assert not engine._witnesses
+        assert_matches_reference(engine)
+
+    def test_exactly_tight_downlink_falls_back(self):
+        engine = RateEngine(caps(a=(1, 20), b=(1, 20), c=(20, 2)))
+        engine.add_flow(1, "a", "c")
+        assert engine.recompute() == {1: 1.0}
+        # Shares 1 + 1 fill down:c exactly: no headroom, so the whole
+        # component is re-solved, flow 1 included.
+        engine.add_flow(2, "b", "c")
+        assert engine.recompute() == {1: 1.0, 2: 1.0}
+        assert engine._witnesses
+        assert_matches_reference(engine)
+
+    def test_degraded_downlink_that_binds_falls_back(self):
+        capacities = caps(a=(1, 20), b=(1, 20), c=(20, 20))
+        engine = RateEngine(capacities)
+        engine.add_flow(1, "a", "c")
+        engine.add_flow(2, "b", "c")
+        assert engine.rates() == {1: 1.0, 2: 1.0}
+        capacities.downlink["c"] = 1.6  # what set_link_scale(c, 0.08) does
+        engine.touch_node("c")
+        assert engine.recompute() == {1: 0.8, 2: 0.8}
+        assert len(engine._witnesses) == 1  # one failing link of {1, 2}
+        assert_matches_reference(engine)
+
+    def test_certified_again_once_binding_flows_leave(self):
+        capacities = caps(a=(1, 20), b=(1, 20), c=(20, 1.6), d=(20, 20))
+        engine = RateEngine(capacities)
+        engine.add_flow(1, "a", "c")
+        engine.add_flow(2, "b", "c")
+        engine.recompute()
+        assert engine._witnesses
+        engine.remove_flow(2)
+        assert engine.recompute() == {1: 1.0}
+        assert not engine._witnesses
+        # Certified again: a new flow on up:a re-rates up:a's flows only.
+        engine.add_flow(3, "b", "d")
+        engine.recompute()
+        engine.add_flow(4, "a", "d")
+        assert engine.recompute() == {1: 0.5, 4: 0.5}
+        assert_matches_reference(engine)
+
+    def test_downlink_bound_flow_elsewhere_blocks_the_fast_path(self):
+        # down:c binds in the {1, 2} component; a change in the disjoint
+        # {3, 5} component must not take the fast path while a witness
+        # stands, so flow 5 (on down:y only) is re-solved too.
+        engine = RateEngine(
+            caps(a=(1, 20), b=(1, 20), c=(20, 1), w=(1, 20), x=(1, 20), y=(1, 20))
+        )
+        engine.add_flow(1, "a", "c")
+        engine.add_flow(2, "b", "c")
+        engine.add_flow(3, "x", "y")
+        engine.add_flow(5, "w", "y")
+        engine.recompute()
+        (witness,) = engine._witnesses  # a failing link of {1, 2}
+        engine.add_flow(4, "x", "y")
+        assert engine.recompute() == {3: 0.5, 5: 1.0, 4: 0.5}
+        assert engine._witnesses == {witness}
+        assert_matches_reference(engine)
+
+    @pytest.mark.parametrize("down_c", [20.0, 1.0], ids=["fast", "fallback"])
+    def test_changed_comes_back_in_arrival_order(self, down_c):
+        engine = RateEngine(caps(a=(1, 20), b=(20, 20), c=(20, down_c)))
+        for fid in ("z", "m", "a", "q"):  # arrival order differs from hash order
+            engine.add_flow(fid, "a", "b" if fid != "m" else "c")
+        engine.add_flow("loop", "a", "a")
+        changed = engine.recompute()
+        assert list(changed) == ["loop", "z", "m", "a", "q"]
+        engine.remove_flow("a")
+        engine.add_flow("b", "a", "b")
+        assert list(engine.recompute()) == ["z", "m", "q", "b"]
+        assert_matches_reference(engine)
+
+
 class TestLoopback:
     def test_loopback_rate_is_infinite(self):
         engine = RateEngine(caps(a=(1, 1)))

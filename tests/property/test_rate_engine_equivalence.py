@@ -1,21 +1,24 @@
 """Property: the incremental RateEngine equals a fresh full recompute.
 
-For *any* interleaving of flow arrivals, departures, and recomputes —
-including loopback flows and single-flow instances — the engine's rate
-vector must equal ``maxmin_rates`` run from scratch on the surviving
-non-loopback flows, bit for bit: the engine's heap kernel replays the
-reference's arithmetic on each dirty component with insertion-ordered
-flows, which the kernel properties below pin on their own.
+For *any* interleaving of flow arrivals, departures, capacity changes and
+recomputes — including loopback flows and single-flow instances — the
+engine's rate vector must equal ``maxmin_rates`` run from scratch on the
+surviving non-loopback flows, bit for bit.  On its fast path the engine
+rates uplink-bound flows at ``cap / n`` under a certificate; otherwise its
+heap kernel replays the reference's arithmetic on each dirty component
+with insertion-ordered flows, which the kernel properties below pin on
+their own.
 """
 
 import math
+from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.network.bandwidth import LinkCapacities, maxmin_rates, maxmin_rates_heap
-from repro.network.rate_engine import RateEngine
+from repro.network.rate_engine import _HEADROOM, RateEngine
 
 
 @st.composite
@@ -118,6 +121,180 @@ def test_recompute_placement_is_irrelevant(script):
         else:
             eager.recompute()  # lazy deliberately skips interior recomputes
     assert eager.rates() == lazy.rates()
+
+
+#: ``bind`` targets: a downlink set to the exact load of its flows' uplink
+#: shares, one ulp either side of it, or just outside the certificate's
+#: headroom (where the fast path must still be exact).
+BIND_OFFSETS = ("exact", "ulp-below", "ulp-above", "headroom")
+
+
+@st.composite
+def certificate_scripts(draw):
+    """Node capacities plus churn that straddles the uplink certificate.
+
+    Uplinks come from a small pool so equal shares are common; downlinks
+    are mostly 20x faster (the paper's NIC ratio), so the fast path runs,
+    and sometimes as slow as or slower than the uplink, so it falls back.
+    Besides add/remove/recompute, ``scale`` multiplies a node's capacities
+    in place and ``bind`` sets a downlink to the load of its flows (see
+    :data:`BIND_OFFSETS`); both then ``touch_node``.
+    """
+    n_nodes = draw(st.integers(min_value=2, max_value=6))
+    nodes = []
+    for i in range(n_nodes):
+        up = draw(st.sampled_from([1.0, 2.0, 3.0, 0.7]))
+        ratio = draw(st.sampled_from([20.0, 20.0, 20.0, 1.0, 0.5]))
+        nodes.append((f"n{i}", up, up * ratio))
+    node = st.integers(min_value=0, max_value=n_nodes - 1).map(lambda i: f"n{i}")
+    ops = []
+    live = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        kinds = ["add", "add", "add", "recompute", "recompute", "scale", "bind"]
+        kind = draw(st.sampled_from(kinds + ["remove", "remove"] if live else kinds))
+        if kind == "add":
+            ops.append(("add", draw(node), draw(node)))
+            live += 1
+        elif kind == "remove":
+            ops.append(("remove", draw(st.integers(min_value=0, max_value=live - 1))))
+            live -= 1
+        elif kind == "scale":
+            ops.append(("scale", draw(node), draw(st.sampled_from([0.25, 0.5, 2.0, 3.0]))))
+        elif kind == "bind":
+            ops.append(("bind", draw(node), draw(st.sampled_from(BIND_OFFSETS))))
+        else:
+            ops.append(("recompute",))
+    return nodes, ops
+
+
+def bound_downlink(caps, live, node, offset):
+    """A downlink capacity placed at ``offset`` from its flows' load."""
+    per_uplink = Counter(src for src, dst in live.values() if src != dst)
+    load = math.fsum(
+        caps.uplink[src] / per_uplink[src]
+        for src, dst in live.values()
+        if dst == node and src != dst
+    )
+    if not load:
+        return caps.downlink[node]
+    if offset == "ulp-below":
+        return math.nextafter(load, 0.0)
+    if offset == "ulp-above":
+        return math.nextafter(load, math.inf)
+    if offset == "headroom":
+        return load * (1.0 + 1e-8)
+    return load
+
+
+def certified(engine):
+    """Every flow at its uplink's equal share, every downlink in headroom."""
+    rates = engine.rates()
+    caps = engine.capacities
+    per_link = {}
+    for fid, (src, dst) in engine._flows.items():
+        if src != dst:
+            per_link.setdefault(("up", src), []).append(fid)
+            per_link.setdefault(("down", dst), []).append(fid)
+    for (kind, node), fids in per_link.items():
+        if kind == "up":
+            share = caps.uplink[node] / len(fids)
+            if any(rates[fid] != share for fid in fids):
+                return False
+        elif not math.fsum(rates[fid] for fid in fids) < caps.downlink[node] * _HEADROOM:
+            return False
+    return True
+
+
+def drive_certificate_script(nodes, ops, tally):
+    """Replay one script, checking the oracle after every recompute.
+
+    Also checks that the engine's witness set is empty exactly when the
+    whole engine is certified, and tallies which branch settled each
+    recompute into ``tally``.
+    """
+    caps = LinkCapacities()
+    for name, up, down in nodes:
+        caps.add_node(name, uplink=up, downlink=down)
+    engine = RateEngine(caps)
+    fast, fallback = engine._uplink_shares, engine._resolve_components
+    fell_back = False
+
+    def spy_fast():
+        settled = fast()
+        if settled is not None:
+            tally["fast"] += 1
+            if fell_back:
+                tally["fast after fallback"] += 1
+        return settled
+
+    def spy_fallback():
+        nonlocal fell_back
+        fell_back = True
+        tally["fallback"] += 1
+        return fallback()
+
+    engine._uplink_shares = spy_fast
+    engine._resolve_components = spy_fallback
+
+    def check():
+        got = {fid: rate.hex() for fid, rate in engine.rates().items()}
+        want = {fid: rate.hex() for fid, rate in engine.reference_rates().items()}
+        assert got == want
+        assert (not engine._witnesses) == certified(engine)
+
+    live = {}  # fid -> (src, dst), in insertion order
+    next_id = 0
+    for op in ops:
+        if op[0] == "add":
+            engine.add_flow(next_id, op[1], op[2])
+            live[next_id] = (op[1], op[2])
+            next_id += 1
+        elif op[0] == "remove":
+            fid = list(live)[op[1]]
+            del live[fid]
+            engine.remove_flow(fid)
+        elif op[0] == "scale":
+            _, node, factor = op
+            caps.uplink[node] *= factor
+            caps.downlink[node] *= factor
+            engine.touch_node(node)
+        elif op[0] == "bind":
+            _, node, offset = op
+            caps.downlink[node] = bound_downlink(caps, live, node, offset)
+            engine.touch_node(node)
+        else:
+            engine.recompute()
+            check()
+    check()
+
+
+#: Fast path, then a downlink bound exactly (fallback), then its flow
+#: leaves and the engine is certified again.
+_ROUND_TRIP = (
+    [("n0", 1.0, 20.0), ("n1", 1.0, 20.0), ("n2", 2.0, 40.0)],
+    [
+        ("add", "n0", "n2"), ("add", "n1", "n2"), ("recompute",),
+        ("bind", "n2", "exact"), ("recompute",),
+        ("remove", 1), ("recompute",),
+        ("add", "n0", "n1"), ("recompute",),
+    ],
+)
+
+
+def test_fast_path_matches_oracle_after_any_churn():
+    """Both branches of the engine equal ``maxmin_rates`` bit for bit after
+    every recompute — fast path, fallback, and the fast path again once a
+    fallback has re-certified the engine."""
+    tally = Counter()
+
+    @given(certificate_scripts())
+    @example(_ROUND_TRIP)
+    @settings(max_examples=300, deadline=None)
+    def run(script):
+        drive_certificate_script(*script, tally)
+
+    run()
+    assert tally["fast"] and tally["fallback"] and tally["fast after fallback"], tally
 
 
 def outcome(kernel, flows, caps):
